@@ -51,6 +51,20 @@ def _padded(array: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _inserted(mapping: dict, key, value, before=None) -> dict:
+    """``mapping`` plus ``key: value``, placed just ahead of ``before``
+    (at the end when ``before`` is ``None`` or absent)."""
+    if before is None or before not in mapping:
+        mapping[key] = value
+        return mapping
+    result = {}
+    for existing, item in mapping.items():
+        if existing == before:
+            result[key] = value
+        result[existing] = item
+    return result
+
+
 class _Aggregate:
     """Weighted dense sums of probabilities for one category subtree.
 
@@ -380,14 +394,18 @@ class CategorySummaryBuilder:
         name: str,
         summary: ContentSummary,
         path: tuple[str, ...],
+        before: str | None = None,
     ) -> set[tuple[str, ...]]:
         """Classify a new database and patch its category path.
 
         ``summary`` must already live in this builder's vocabulary
         instance (re-home it first — see the serving lifecycle); a foreign
         vocabulary would make a later from-scratch rebuild intern a
-        different id order and break the bit-identity contract. Returns
-        the set of category paths whose aggregate actually changed.
+        different id order and break the bit-identity contract. The
+        database joins the fold order at the end, or just ahead of the
+        database ``before`` (a restore puts it back where it was, so every
+        aggregate refolds to its old bits). Returns the set of category
+        paths whose aggregate actually changed.
         """
         if name in self._classifications:
             raise ValueError(f"database {name!r} is already classified")
@@ -399,8 +417,10 @@ class CategorySummaryBuilder:
         path = tuple(path)
         if path not in self.hierarchy:
             raise ValueError(f"{name!r} classified under unknown path {path}")
-        self._summaries[name] = summary
-        self._classifications[name] = path
+        self._summaries = _inserted(self._summaries, name, summary, before)
+        self._classifications = _inserted(
+            self._classifications, name, path, before
+        )
         self._regimes[name] = (
             summary.regime_arrays("df"),
             summary.regime_arrays("tf"),

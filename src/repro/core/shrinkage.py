@@ -30,7 +30,12 @@ import numpy as np
 from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import MISSING
 from repro.core.vocab import Vocabulary
-from repro.summaries.summary import ContentSummary, IdProbs, SampledSummary
+from repro.summaries.summary import (
+    ContentSummary,
+    IdProbs,
+    SampledSummary,
+    rehome_summary,
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,21 @@ class ShrunkSummary(ContentSummary):
     def mixture_weights(self) -> dict[str, float]:
         """{component name: lambda} for the document-frequency regime."""
         return dict(zip(self.component_names, self.lambdas))
+
+    def rehomed(
+        self, vocab: Vocabulary, base: ContentSummary | None = None
+    ) -> "ShrunkSummary":
+        return ShrunkSummary(
+            size=self.size,
+            df_probs=self.regime_arrays("df", vocab),
+            tf_probs=self.regime_arrays("tf", vocab),
+            lambdas=self.lambdas,
+            tf_lambdas=self.tf_lambdas,
+            component_names=self.component_names,
+            uniform_probability=self.uniform_probability,
+            base=base if base is not None else rehome_summary(self.base, vocab),
+            vocab=vocab,
+        )
 
 
 def _em_core(columns: np.ndarray, config: ShrinkageConfig) -> list[float]:

@@ -901,7 +901,6 @@ def rk_curves_per_query(
         algorithm=algorithm,
         strategy=str(SelectionStrategy(strategy).value),
         k_max=k_max,
-        batched=cell.metasearcher.use_batched,
     ):
         collector = get_collector()
         for query in workload:

@@ -17,15 +17,11 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.lru import MISSING, LruCache
 from repro.summaries.summary import ContentSummary
-
-if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
 
 #: Bound on the per-scorer resolved-query-id cache. Large enough that a
 #: batch evaluation's query set stays resident; small enough that a
@@ -54,10 +50,8 @@ class DatabaseScorer(ABC):
     #: score variance analytically, word by word.
     word_decomposition: str | None = None
 
-    #: Probability regime the pruned top-k engine bounds this scorer in
-    #: ("df" or "tf"). ``None`` marks the scorer unsupported: the top-k
-    #: engine refuses it and callers take the full-scan path.
-    topk_regime: str | None = None
+    #: Probability regime the scorer reads ("df" or "tf").
+    regime: str = "df"
 
     def prepare(self, summaries: Mapping[str, ContentSummary]) -> None:
         """Compute corpus-level statistics over the candidate summaries."""
@@ -175,120 +169,51 @@ class DatabaseScorer(ABC):
             "scorers without word decomposition must override floor_score"
         )
 
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) for one query against every database at once.
+    # -- the batched kernel (DESIGN.md §5c) -------------------------------------
 
-        Arrays align with ``matrix.names``. The default delegates to the
-        scalar :meth:`score`/:meth:`floor_score` per row — trivially
-        bit-identical, no speedup; the production scorers override it with
-        vectorized arithmetic that keeps the word-sequential fold order
-        (see :mod:`repro.selection.batch` for the bit-identity contract).
+    def statistics(self, query_terms: Sequence[str], mix=None):
+        """Set-level corpus statistics the kernel reads, or ``None``.
+
+        Without ``mix`` they come from this scorer's :meth:`prepare` (the
+        fixed set it was prepared on — or, for a cluster shard, the whole
+        universe); with ``mix`` (a per-query plain/shrunk row mix, see
+        :class:`repro.selection.batch.MixedSet`) they are recomputed over
+        the mixed set, exactly as a fresh ``prepare`` on it would. Only
+        CORI reads any (cf, m and mcw).
         """
-        scores = np.array(
-            [self.score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-        floors = np.array(
-            [self.floor_score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-        return scores, floors
+        return None
 
-    def batch_floor_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> np.ndarray:
-        """Floor scores for every database at once (aligned with
-        ``matrix.names``); same bit-identity contract as
-        :meth:`batch_scores`."""
-        return np.array(
-            [self.floor_score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-
-    def batch_scores_mixed(
+    @abstractmethod
+    def row_scores(
         self,
         query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) against a per-query plain/shrunk row mix.
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray | None = None,
+        statistics=None,
+        upper: bool = False,
+    ) -> np.ndarray:
+        """Scores of many rows from their gathered per-word probabilities.
 
-        ``mask`` selects the shrunk row per database. Corpus statistics
-        must reflect the *mixed* set (the serial path re-prepares on the
-        mixed dict per query), so there is no generic fallback — scorers
-        whose prepare state depends on the summary set override this;
-        the engine wiring falls back to the serial path otherwise.
+        ``probabilities`` is a (rows, words) matrix in :attr:`regime`,
+        ``sizes`` and ``cw`` the rows' |D| and cw(D) (``cw`` only when
+        :meth:`statistics` is not ``None``). Each row's score must equal
+        :meth:`score` bit for bit: the fold runs word by word, vectorized
+        across rows only (elementwise IEEE-754 arithmetic does not depend
+        on array shape).
+
+        With ``upper`` the inputs are per-word probability maxima, size
+        maxima and cw minima over a group of rows (the pruned top-k
+        engine's bounds, DESIGN.md §5g), and the result must dominate the
+        exact score of every covered row as a float; all-zero maxima must
+        fold to exactly the floor.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support mixed batch scoring"
-        )
 
-    # -- pruned top-k hooks ----------------------------------------------------
-
-    def topk_group_bounds(
-        self,
-        query_terms: Sequence[str],
-        pmax: np.ndarray,
-        size_ub: np.ndarray,
-        cw_lb: np.ndarray | None = None,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
+    @abstractmethod
+    def floor_scores(
+        self, query_terms: Sequence[str], sizes: np.ndarray
     ) -> np.ndarray:
-        """Score upper bounds from per-word probability upper bounds.
-
-        ``pmax`` is a (candidates, words) matrix of per-word maximum
-        probabilities (over a group of rows, or per-row refinements);
-        ``size_ub`` / ``cw_lb`` bound the group's |D| from above and cw(D)
-        from below. The returned array must dominate — as IEEE-754
-        floats — the exact score of every row the bounds cover, and a row
-        of all-zero ``pmax`` must fold to *exactly* the scorer's floor
-        (the top-k engine's zero-overlap elimination depends on that
-        equality). Scorers the top-k engine supports override this.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support top-k bounds"
-        )
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Exact scores for a row subset: ``batch_scores(...)[0][rows]``
-        bit-for-bit, computed without touching the other rows."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support row-subset scoring"
-        )
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        """Exact mixed-set scores for a row subset (see
-        :meth:`batch_scores_mixed`); corpus statistics of the mixed set
-        arrive precomputed via ``i_values``/``mean_cw`` when the scorer
-        needs them."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support row-subset scoring"
-        )
-
-    def topk_mixed_context(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> dict:
-        """Per-query corpus statistics of the mixed set, computed once and
-        passed to every bound/row-scoring call (CORI's cf/mcw)."""
-        return {}
+        """:meth:`floor_score` for rows of the given sizes, bit for bit."""
 
 
 def rank_databases(

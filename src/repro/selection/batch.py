@@ -1,30 +1,39 @@
-"""Batched all-databases scoring engine (DESIGN.md §5c).
+"""Batched all-databases scoring: score matrices and the full scan (DESIGN.md §5c).
 
 Database selection is inherently a per-query, all-databases operation:
 every query is scored against every candidate content summary before the
 top-k databases are picked. :func:`repro.selection.base.rank_databases`
 does that one database at a time; here the candidate set's columnar
 arrays (one shared :class:`~repro.core.vocab.Vocabulary` per testbed
-cell, PR 2) are stacked into per-set *score matrices*, so one query — and
-batches of queries — scores against all databases in a handful of numpy
-operations. This is the layout a metasearcher front end serves queries
-from (see :mod:`repro.serving`).
+cell) are stacked into a :class:`SummarySetMatrix`, so one query scores
+against all databases in a handful of numpy operations.
+
+A scan runs over a *row source*: one matrix (:class:`FixedSet` — a
+plain or universal set) or two plus a per-query mask (:class:`MixedSet`
+— the Figure-3 mix of S(D) and R(D)). Each scorer has one kernel,
+:meth:`~repro.selection.base.DatabaseScorer.row_scores`, from gathered
+probabilities to scores; the set-level corpus statistics it reads
+(CORI's I-values, cw and mcw) are an explicit input, taken from the
+prepared scorer for a fixed set and recomputed from the mask for a mix.
+:func:`full_scan` scores every row; the pruned top-k scan of
+:mod:`repro.selection.topk` scores a few.
 
 Bit-identity contract: the batched path must reproduce the serial fold
 exactly. All three scorers reduce per-word components with sequential
-Python folds (see the reduction notes in bgloss/cori/lm — the strict
-``score > floor`` selected-rule depends on exact equality); the engine
-keeps that word-sequential order while vectorizing across the *database*
-axis, and elementwise IEEE-754 arithmetic does not depend on array shape,
-so every database's score comes out bit-for-bit equal to
-:func:`~repro.selection.base.rank_databases`. The equivalence suite
-(``tests/test_batch_equivalence.py``) enforces this with exact ``==``
-comparisons for every scorer across plain, shrunk, and adaptive-mixed
-summary sets.
+folds (the strict ``score > floor`` selected-rule depends on exact
+equality); the kernels keep that word-sequential order while vectorizing
+across the *database* axis, and elementwise IEEE-754 arithmetic does not
+depend on array shape, so every database's score comes out bit-for-bit
+equal to :func:`~repro.selection.base.rank_databases`. The equivalence
+suite (``tests/test_batch_equivalence.py``) enforces this with exact
+``==`` comparisons for every scorer across plain, shrunk, and
+adaptive-mixed summary sets.
 
-Summary sets that mix vocabulary instances, or summary types with custom
-``scored_lookup`` semantics the engine does not know, raise
-:class:`UnsupportedSummarySet`; callers fall back to the serial path.
+A set whose summaries span several vocabulary instances, or whose
+summary types have ``scored_lookup`` semantics the matrix does not know,
+raises :class:`UnsupportedSummarySet` when its matrix is built; the
+metasearcher re-homes every summary onto its cell vocabulary first, so
+its sets always stack.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import numpy as np
 from repro.core.lru import MISSING, LruCache
 from repro.core.shrinkage import ShrunkSummary
 from repro.selection.base import DatabaseScorer, RankedDatabase
-from repro.summaries.summary import ContentSummary, SampledSummary
+from repro.summaries.summary import ContentSummary
 
 #: Resolved query-id arrays cached per matrix (bounded for serve).
 _QUERY_IDS_CACHE_SIZE = 512
@@ -73,12 +82,17 @@ class SummarySetMatrix:
     ids to 0, shrunk summaries to their uniform-component floor, and ids
     inside the df support but without regime mass stay 0 (not floor) —
     mirroring :meth:`ShrunkSummary.scored_lookup`'s support mask.
+
+    ``labels`` (one per row, in sorted-name order) partition the rows
+    into the pruned scan's groups — category subtrees, see
+    :func:`group_labels`; without them all rows form one group.
     """
 
     def __init__(
         self,
         summaries: Mapping[str, ContentSummary],
         previous: "SummarySetMatrix | None" = None,
+        labels: Sequence[tuple[str, ...]] | None = None,
     ) -> None:
         if not summaries:
             raise UnsupportedSummarySet("empty summary set")
@@ -96,6 +110,10 @@ class SummarySetMatrix:
                 )
         self.names: tuple[str, ...] = tuple(names)
         self.summaries: tuple[ContentSummary, ...] = tuple(ordered)
+        # Rows in the mapping's own iteration order: the order a serial
+        # ``prepare`` folds set-level totals in (CORI's mean cw).
+        row_of = {name: row for row, name in enumerate(names)}
+        self.fold_order = [row_of[name] for name in summaries]
         self.vocab = next(iter(vocabs.values()))
         self.sizes = np.array([s.size for s in ordered], dtype=np.float64)
         self._width = len(self.vocab)
@@ -118,6 +136,9 @@ class SummarySetMatrix:
             else None
         )
         self.reused_rows = 0
+        self.groups = GroupIndex(
+            self, labels if labels is not None else [()] * len(names)
+        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -216,6 +237,15 @@ class SummarySetMatrix:
         self.dense(regime)
         defaults = self._defaults[regime]
         return float(defaults.max()) if defaults.size else 0.0
+
+    def column_max_at(self, ids: np.ndarray, regime: str = "df") -> np.ndarray:
+        """:meth:`column_max` at the query's ids (defaults bound invalid ids)."""
+        colmax = self.column_max(regime)
+        ids = np.asarray(ids, dtype=np.int64)
+        valid = (ids >= 0) & (ids < colmax.size)
+        return np.where(
+            valid, colmax[np.where(valid, ids, 0)], self.default_max(regime)
+        )
 
     # -- external-buffer (de)materialization ----------------------------------
 
@@ -387,6 +417,96 @@ class SummarySetMatrix:
         return self._cw
 
 
+def group_labels(
+    names: Sequence[str], classifications: Mapping[str, Sequence[str]]
+) -> list[tuple[str, ...]]:
+    """One hashable group label per row: the classification path."""
+    return [
+        tuple(classifications.get(name) or ("__unclassified__",))
+        for name in names
+    ]
+
+
+class GroupIndex:
+    """Aggregated per-group bounds over one :class:`SummarySetMatrix`.
+
+    Groups partition the rows by label (classification paths — i.e.
+    category subtrees). Per regime the index keeps each group's per-id
+    column maxima plus its default/size/cw aggregates, all lazy: nothing
+    is computed until the pruned scan first needs it. The arrays are
+    derived deterministically from the (possibly shared-memory) dense
+    matrices, so attaching workers rebuild them locally bit-identically.
+    """
+
+    def __init__(
+        self, matrix: SummarySetMatrix, labels: Sequence[tuple[str, ...]]
+    ) -> None:
+        if len(labels) != len(matrix.names):
+            raise ValueError("one label per matrix row required")
+        self.matrix = matrix
+        by_label: dict[tuple[str, ...], list[int]] = {}
+        for row, label in enumerate(labels):
+            by_label.setdefault(label, []).append(row)
+        self.labels: tuple[tuple[str, ...], ...] = tuple(sorted(by_label))
+        self.rows: list[np.ndarray] = [
+            np.array(by_label[label], dtype=np.int64) for label in self.labels
+        ]
+        self._colmax: dict[str, np.ndarray] = {}
+        self._defaults_max: dict[str, np.ndarray] = {}
+        self._size_max: np.ndarray | None = None
+        self._cw_min: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def colmax(self, regime: str) -> np.ndarray:
+        """(groups, vocabulary) per-id maxima over each group's rows."""
+        if regime not in self._colmax:
+            dense = self.matrix.dense(regime)
+            self._colmax[regime] = np.stack(
+                [dense[rows].max(axis=0) for rows in self.rows]
+            )
+        return self._colmax[regime]
+
+    def defaults_max(self, regime: str) -> np.ndarray:
+        """Per-group maximum default (bounds unknown/invalid-id lookups)."""
+        if regime not in self._defaults_max:
+            self.matrix.dense(regime)
+            defaults = self.matrix._defaults[regime]
+            self._defaults_max[regime] = np.array(
+                [defaults[rows].max() for rows in self.rows],
+                dtype=np.float64,
+            )
+        return self._defaults_max[regime]
+
+    def colmax_at(self, ids: np.ndarray, regime: str) -> np.ndarray:
+        """(groups, words) maxima for the query's ids."""
+        colmax = self.colmax(regime)
+        ids = np.asarray(ids, dtype=np.int64)
+        valid = (ids >= 0) & (ids < colmax.shape[1])
+        safe = np.where(valid, ids, 0)
+        out = colmax[:, safe]
+        if not valid.all():
+            out[:, ~valid] = self.defaults_max(regime)[:, None]
+        return out
+
+    def size_max(self) -> np.ndarray:
+        if self._size_max is None:
+            sizes = self.matrix.sizes
+            self._size_max = np.array(
+                [sizes[rows].max() for rows in self.rows], dtype=np.float64
+            )
+        return self._size_max
+
+    def cw_min(self) -> np.ndarray:
+        if self._cw_min is None:
+            cw = self.matrix.cw()
+            self._cw_min = np.array(
+                [cw[rows].min() for rows in self.rows], dtype=np.float64
+            )
+        return self._cw_min
+
+
 def batch_floor_map(
     scorer: DatabaseScorer,
     query_terms: Sequence[str],
@@ -399,7 +519,7 @@ def batch_floor_map(
         matrix = SummarySetMatrix(summaries)
     except UnsupportedSummarySet:
         return None
-    floors = scorer.batch_floor_scores(query_terms, matrix)
+    floors = scorer.floor_scores(query_terms, matrix.sizes)
     return dict(zip(matrix.names, floors.tolist()))
 
 
@@ -445,122 +565,81 @@ def ranked_from_arrays(
     return ranking
 
 
-class BatchSelectionEngine:
-    """Batched counterpart of ``rank_databases`` for a fixed summary set.
+# -- row sources ---------------------------------------------------------------
 
-    The scorer must already be (or is here) prepared on exactly this
-    summary set — corpus-level statistics (CORI's cf/mcw) are part of the
-    score. One engine instance serves any number of queries.
+
+class FixedSet:
+    """One summary set's matrix as the rows of a scan (plain or universal).
+
+    Corpus statistics come from the scorer's own ``prepare`` — which is
+    how universe-wide statistics reach a cluster shard's rows.
+    """
+
+    def __init__(self, matrix: SummarySetMatrix) -> None:
+        self.matrix = matrix
+        self.names = matrix.names
+        self.sizes = matrix.sizes
+        self.groups = matrix.groups
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def query_ids(self, query_terms: Sequence[str]) -> np.ndarray:
+        return self.matrix.query_ids(query_terms)
+
+    def gather(
+        self, ids: np.ndarray, regime: str, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        if rows is None:
+            return self.matrix.gather(ids, regime)
+        return self.matrix.gather_rows(rows, ids, regime)
+
+    def cw(self) -> np.ndarray:
+        return self.matrix.cw()
+
+    def statistics(self, scorer: DatabaseScorer, query_terms: Sequence[str]):
+        return scorer.statistics(query_terms)
+
+    # -- pruning bounds --------------------------------------------------------
+
+    def group_pmax(self, ids: np.ndarray, regime: str) -> np.ndarray:
+        return self.groups.colmax_at(ids, regime)
+
+    def group_cw_min(self) -> np.ndarray:
+        return self.groups.cw_min()
+
+    def column_max(self, ids: np.ndarray, regime: str) -> np.ndarray:
+        return self.matrix.column_max_at(ids, regime)
+
+    def row_max(self, regime: str) -> np.ndarray:
+        return self.matrix.row_max(regime)
+
+
+class MixedSet:
+    """The per-query plain/shrunk row mix of Figure 3 as the rows of a scan.
+
+    ``mask`` (aligned to the row order) picks the shrunk row per
+    database. Set-level statistics (CORI's cf, mcw) are recomputed from
+    the mask over precomputed presence matrices and cw vectors —
+    bit-identical to a fresh ``prepare`` on the materialized mixed dict,
+    including its insertion-order mean-cw fold. Bounds must hold for any
+    mask, so per-word maxima take the elementwise max over both matrices
+    and cw the min.
     """
 
     def __init__(
         self,
-        scorer: DatabaseScorer,
-        summaries: Mapping[str, ContentSummary],
-        prepare: bool = True,
-        previous_matrix: SummarySetMatrix | None = None,
-        matrix: SummarySetMatrix | None = None,
+        plain: SummarySetMatrix,
+        shrunk: SummarySetMatrix,
+        mask: np.ndarray,
     ) -> None:
-        if prepare:
-            scorer.prepare(summaries)
-        self.scorer = scorer
-        if matrix is not None:
-            # Matrices depend only on the summary set, not the scorer, so
-            # one matrix per set is shared across all algorithms' engines.
-            if matrix.names != tuple(sorted(summaries)):
-                raise UnsupportedSummarySet(
-                    "shared matrix names a different summary set"
-                )
-            self.matrix = matrix
-        else:
-            self.matrix = SummarySetMatrix(
-                summaries, previous=previous_matrix
-            )
-        self.names = self.matrix.names
-
-    def score_arrays(
-        self, query_terms: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) aligned to :attr:`names`."""
-        return self.scorer.batch_scores(list(query_terms), self.matrix)
-
-    def rank(self, query_terms: Sequence[str]) -> list[RankedDatabase]:
-        """Score and rank all databases for one query (highest first)."""
-        from repro.evaluation.instrument import get_instrumentation
-
-        start = time.perf_counter()
-        scores, floors = self.score_arrays(query_terms)
-        ranking = ranked_from_arrays(self.names, scores, floors)
-        get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
-        )
-        return ranking
-
-    def rank_batch(
-        self, queries: Sequence[Sequence[str]]
-    ) -> list[list[RankedDatabase]]:
-        """Rankings for a batch of queries (one matrix pass per query)."""
-        return [self.rank(query) for query in queries]
-
-
-class AdaptiveBatchEngine:
-    """Batched scoring of per-query mixed plain/shrunk summary sets.
-
-    The SHRINKAGE strategy picks, per query and database, either the
-    sampled summary S(D) or the shrunk summary R(D) (Figure 3). The
-    serial path materializes that mixed dict and re-runs ``prepare`` on
-    it for every query; here both candidate sets are stacked once, and a
-    per-query boolean mask (aligned to :attr:`names`) selects rows.
-    Set-level CORI statistics (cf, mcw) are recomputed per query from
-    precomputed presence matrices and cw vectors — bit-identical to a
-    fresh ``prepare`` on the mixed dict, including its insertion-order
-    mean-cw fold.
-    """
-
-    def __init__(
-        self,
-        scorer: DatabaseScorer,
-        sampled: Mapping[str, SampledSummary],
-        shrunk: Mapping[str, ContentSummary],
-        previous_plain: SummarySetMatrix | None = None,
-        previous_shrunk: SummarySetMatrix | None = None,
-        plain_matrix: SummarySetMatrix | None = None,
-        shrunk_matrix: SummarySetMatrix | None = None,
-    ) -> None:
-        if set(sampled) != set(shrunk):
-            raise UnsupportedSummarySet(
-                "sampled and shrunk sets name different databases"
-            )
-        self.scorer = scorer
-        self.plain = (
-            plain_matrix
-            if plain_matrix is not None
-            else SummarySetMatrix(sampled, previous=previous_plain)
-        )
-        self.shrunk = (
-            shrunk_matrix
-            if shrunk_matrix is not None
-            else SummarySetMatrix(shrunk, previous=previous_shrunk)
-        )
-        if self.plain.names != tuple(sorted(sampled)):
-            raise UnsupportedSummarySet(
-                "shared matrix names a different summary set"
-            )
-        if self.plain.vocab is not self.shrunk.vocab:
-            raise UnsupportedSummarySet(
-                "sampled and shrunk sets use different vocabularies"
-            )
-        if not np.array_equal(self.plain.sizes, self.shrunk.sizes):
-            raise UnsupportedSummarySet(
-                "shrunk summaries changed database sizes"
-            )
-        self.names = self.plain.names
-        self.sizes = self.plain.sizes
-        # The serial path folds CORI's total cw in the *insertion* order
-        # of the mixed dict, which follows the sampled-summaries mapping;
-        # row order is sorted-name. Keep the permutation for exact folds.
-        row_of = {name: row for row, name in enumerate(self.names)}
-        self._prepare_rows = [row_of[name] for name in sampled]
+        self.plain = plain
+        self.shrunk = shrunk
+        self.mask = np.asarray(mask, dtype=bool)
+        self.names = plain.names
+        self.sizes = plain.sizes
+        self.groups = plain.groups
+        self._cw: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -568,57 +647,160 @@ class AdaptiveBatchEngine:
     def query_ids(self, query_terms: Sequence[str]) -> np.ndarray:
         return self.plain.query_ids(query_terms)
 
-    def gather_mixed(
-        self, ids: np.ndarray, regime: str, mask: np.ndarray
+    def gather(
+        self, ids: np.ndarray, regime: str, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per-word probabilities with shrunk rows where ``mask`` is set."""
-        plain = self.plain.gather(ids, regime)
-        shrunk = self.shrunk.gather(ids, regime)
+        if rows is None:
+            mask = self.mask
+            plain = self.plain.gather(ids, regime)
+            shrunk = self.shrunk.gather(ids, regime)
+        else:
+            mask = self.mask[rows]
+            plain = self.plain.gather_rows(rows, ids, regime)
+            shrunk = self.shrunk.gather_rows(rows, ids, regime)
         return np.where(mask[:, None], shrunk, plain)
 
-    def gather_mixed_rows(
-        self, rows: np.ndarray, ids: np.ndarray, regime: str, mask: np.ndarray
-    ) -> np.ndarray:
-        """Row subset of :meth:`gather_mixed` (pure selection)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        plain = self.plain.gather_rows(rows, ids, regime)
-        shrunk = self.shrunk.gather_rows(rows, ids, regime)
-        return np.where(mask[rows][:, None], shrunk, plain)
-
-    def cw_mixed(self, mask: np.ndarray) -> np.ndarray:
+    def cw(self) -> np.ndarray:
         """Per-database cw(D) of the chosen summaries."""
-        return np.where(mask, self.shrunk.cw(), self.plain.cw())
+        if self._cw is None:
+            self._cw = np.where(self.mask, self.shrunk.cw(), self.plain.cw())
+        return self._cw
 
-    def mean_cw(self, mask: np.ndarray) -> float:
+    def statistics(self, scorer: DatabaseScorer, query_terms: Sequence[str]):
+        return scorer.statistics(query_terms, self)
+
+    def mean_cw(self) -> float:
         """mcw over the mixed set, folded exactly like CORI's prepare."""
-        cw = self.cw_mixed(mask).tolist()
+        cw = self.cw().tolist()
         total_cw = 0.0
-        for row in self._prepare_rows:
+        for row in self.plain.fold_order:
             total_cw += cw[row]
         count = len(self.names)
         mean = total_cw / count if count else 1.0
         return mean if mean > 0 else 1.0
 
-    def cf_at(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def cf_at(self, ids: np.ndarray) -> np.ndarray:
         """cf(w) for the query's ids over the chosen summaries."""
-        plain = self.plain.present_at(ids)
-        shrunk = self.shrunk.present_at(ids)
-        chosen = np.where(mask[:, None], shrunk, plain)
+        chosen = np.where(
+            self.mask[:, None],
+            self.shrunk.present_at(ids),
+            self.plain.present_at(ids),
+        )
         return chosen.sum(axis=0, dtype=np.int64)
+
+    # -- pruning bounds --------------------------------------------------------
+
+    def group_pmax(self, ids: np.ndarray, regime: str) -> np.ndarray:
+        return np.maximum(
+            self.plain.groups.colmax_at(ids, regime),
+            self.shrunk.groups.colmax_at(ids, regime),
+        )
+
+    def group_cw_min(self) -> np.ndarray:
+        return np.minimum(
+            self.plain.groups.cw_min(), self.shrunk.groups.cw_min()
+        )
+
+    def column_max(self, ids: np.ndarray, regime: str) -> np.ndarray:
+        return np.maximum(
+            self.plain.column_max_at(ids, regime),
+            self.shrunk.column_max_at(ids, regime),
+        )
+
+    def row_max(self, regime: str) -> np.ndarray:
+        return np.where(
+            self.mask, self.shrunk.row_max(regime), self.plain.row_max(regime)
+        )
+
+
+def check_mix(plain: SummarySetMatrix, shrunk: SummarySetMatrix) -> None:
+    """Raise :class:`UnsupportedSummarySet` unless ``shrunk`` can stand
+    in for ``plain`` row by row (same databases, sizes, vocabulary and
+    groups)."""
+    if plain.names != shrunk.names:
+        raise UnsupportedSummarySet(
+            "sampled and shrunk sets name different databases"
+        )
+    if plain.vocab is not shrunk.vocab:
+        raise UnsupportedSummarySet(
+            "sampled and shrunk sets use different vocabularies"
+        )
+    if not np.array_equal(plain.sizes, shrunk.sizes):
+        raise UnsupportedSummarySet("shrunk summaries changed database sizes")
+    if plain.groups.labels != shrunk.groups.labels:
+        raise UnsupportedSummarySet(
+            "sampled and shrunk sets are grouped differently"
+        )
+
+
+def full_scan(
+    scorer: DatabaseScorer,
+    source: FixedSet | MixedSet,
+    query_terms: Sequence[str],
+    rows: np.ndarray | None = None,
+) -> list[RankedDatabase]:
+    """Score and rank every row of ``source`` (or just ``rows``) for one
+    query, highest first — :func:`~repro.selection.base.rank_databases`
+    bit for bit."""
+    from repro.evaluation.instrument import get_instrumentation
+
+    start = time.perf_counter()
+    terms = list(query_terms)
+    names, sizes = source.names, source.sizes
+    statistics = source.statistics(scorer, terms)
+    cw = None if statistics is None else source.cw()
+    if rows is not None:
+        names = [names[row] for row in rows.tolist()]
+        sizes = sizes[rows]
+        cw = None if cw is None else cw[rows]
+    probabilities = source.gather(source.query_ids(terms), scorer.regime, rows)
+    scores = scorer.row_scores(terms, probabilities, sizes, cw, statistics)
+    ranking = ranked_from_arrays(names, scores, scorer.floor_scores(terms, sizes))
+    get_instrumentation().observe(
+        f"rank.seconds.{scorer.name}", time.perf_counter() - start
+    )
+    return ranking
+
+
+class BatchSelectionEngine:
+    """Full scan over one fixed summary set.
+
+    ``scorer`` must be prepared on exactly this set (or, for a cluster
+    shard, on the universe the set is a part of): its corpus statistics
+    are part of the score.
+    """
+
+    def __init__(self, scorer: DatabaseScorer, matrix: SummarySetMatrix) -> None:
+        self.scorer = scorer
+        self.matrix = matrix
+        self.names = matrix.names
+
+    def rank(
+        self, query_terms: Sequence[str], rows: np.ndarray | None = None
+    ) -> list[RankedDatabase]:
+        """Score and rank all databases (or just ``rows``), highest first."""
+        return full_scan(self.scorer, FixedSet(self.matrix), query_terms, rows)
+
+
+class AdaptiveBatchEngine:
+    """Full scan over the per-query plain/shrunk mix of Figure 3."""
+
+    def __init__(
+        self,
+        scorer: DatabaseScorer,
+        plain: SummarySetMatrix,
+        shrunk: SummarySetMatrix,
+    ) -> None:
+        check_mix(plain, shrunk)
+        self.scorer = scorer
+        self.plain = plain
+        self.shrunk = shrunk
+        self.names = plain.names
 
     def rank(
         self, query_terms: Sequence[str], mask: np.ndarray
     ) -> list[RankedDatabase]:
         """Rank the mixed set selected by ``mask`` for one query."""
-        from repro.evaluation.instrument import get_instrumentation
-
-        start = time.perf_counter()
-        mask = np.asarray(mask, dtype=bool)
-        scores, floors = self.scorer.batch_scores_mixed(
-            list(query_terms), self, mask
+        return full_scan(
+            self.scorer, MixedSet(self.plain, self.shrunk, mask), query_terms
         )
-        ranking = ranked_from_arrays(self.names, scores, floors)
-        get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
-        )
-        return ranking

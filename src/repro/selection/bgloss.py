@@ -14,15 +14,11 @@ summary zeroes the whole score. This is exactly why the paper finds that
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.selection.base import DatabaseScorer
 from repro.summaries.summary import ContentSummary
-
-if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
 
 
 def _fold_product(scales: np.ndarray, word_scores: np.ndarray) -> np.ndarray:
@@ -38,7 +34,7 @@ class BGlossScorer(DatabaseScorer):
 
     name = "bGlOSS"
     word_decomposition = "product"
-    topk_regime = "df"
+    regime = "df"
 
     def score(
         self, query_terms: Sequence[str], summary: ContentSummary
@@ -65,73 +61,26 @@ class BGlossScorer(DatabaseScorer):
     def scale(self, summary: ContentSummary) -> float:
         return summary.size
 
-    def _floors(self, query_terms: Sequence[str], sizes: np.ndarray) -> np.ndarray:
+    def floor_scores(
+        self, query_terms: Sequence[str], sizes: np.ndarray
+    ) -> np.ndarray:
         # The scalar floor fold is |D| * 0.0 * ... * 0.0 — exactly +0.0
         # after the first word — and just |D| for the empty query.
         if query_terms:
             return np.zeros(sizes.size, dtype=np.float64)
         return sizes.copy()
 
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = matrix.query_ids(query_terms)
-        word_scores = matrix.gather(ids, "df")
-        scores = _fold_product(matrix.sizes, word_scores)
-        return scores, self._floors(query_terms, matrix.sizes)
-
-    def batch_floor_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> np.ndarray:
-        return self._floors(query_terms, matrix.sizes)
-
-    def batch_scores_mixed(
+    def row_scores(
         self,
         query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = engine.query_ids(query_terms)
-        word_scores = engine.gather_mixed(ids, "df", mask)
-        scores = _fold_product(engine.sizes, word_scores)
-        return scores, self._floors(query_terms, engine.sizes)
-
-    # -- pruned top-k hooks ----------------------------------------------------
-
-    def topk_group_bounds(
-        self,
-        query_terms: Sequence[str],
-        pmax: np.ndarray,
-        size_ub: np.ndarray,
-        cw_lb: np.ndarray | None = None,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray | None = None,
+        statistics=None,
+        upper: bool = False,
     ) -> np.ndarray:
         # |D| * prod p(w|D) is monotone in every input and rounding is
-        # monotone per operation, so folding the per-word maxima through
-        # the same sequential product dominates every covered row's score;
-        # a zero pmax column zeroes the bound exactly like the floor fold.
-        return _fold_product(size_ub, pmax)
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        ids = matrix.query_ids(query_terms)
-        word_scores = matrix.gather_rows(rows, ids, "df")
-        return _fold_product(matrix.sizes[rows], word_scores)
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        word_scores = engine.gather_mixed_rows(rows, ids, "df", mask)
-        return _fold_product(engine.sizes[rows], word_scores)
+        # monotone per operation, so the same fold over per-word maxima
+        # dominates every covered row's score; a zero maximum zeroes the
+        # bound exactly like the floor fold.
+        return _fold_product(sizes, probabilities)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,9 +40,6 @@ from repro.core.shrinkage import ShrunkSummary
 from repro.core.vocab import Vocabulary
 from repro.selection.base import DatabaseScorer
 from repro.summaries.summary import ContentSummary
-
-if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
 
 #: Bound on the per-query I-factor cache (see base.QUERY_IDS_CACHE_SIZE).
 _I_CACHE_SIZE = 512
@@ -64,6 +60,16 @@ def _present_ids(summary: ContentSummary) -> np.ndarray:
     return summary.regime_arrays("df")[0]
 
 
+def _i_from_cf(cf: list[int], m: int) -> np.ndarray:
+    """I = log((m + 0.5) / cf(w)) / log(m + 1) per word, via ``math.log``
+    so the factors agree bit for bit with the scalar formulation."""
+    denominator = math.log(m + 1.0)
+    return np.array(
+        [math.log((m + 0.5) / max(count, 1)) / denominator for count in cf],
+        dtype=np.float64,
+    )
+
+
 def _present_words(summary: ContentSummary) -> set[str]:
     """Words counted as present for cf purposes (the round rule for R(D))."""
     if isinstance(summary, ShrunkSummary):
@@ -76,7 +82,7 @@ class CoriScorer(DatabaseScorer):
 
     name = "CORI"
     word_decomposition = "sum"
-    topk_regime = "df"
+    regime = "df"
 
     def __init__(self, df_base: float = 50.0, df_factor: float = 150.0) -> None:
         self.df_base = df_base
@@ -141,15 +147,9 @@ class CoriScorer(DatabaseScorer):
         the array is cached per query."""
         cached = self._i_cache.get(query_terms, MISSING)
         if cached is MISSING:
-            m = self._num_databases
-            denominator = math.log(m + 1.0)
-            cached = np.array(
-                [
-                    math.log((m + 0.5) / max(self._cf_count(word), 1))
-                    / denominator
-                    for word in query_terms
-                ],
-                dtype=np.float64,
+            cached = _i_from_cf(
+                [self._cf_count(word) for word in query_terms],
+                self._num_databases,
             )
             self._i_cache.put(query_terms, cached)
         return cached
@@ -247,200 +247,56 @@ class CoriScorer(DatabaseScorer):
             total += 0.4
         return total / len(query_terms)
 
-    def _floor_array(
-        self, query_terms: Sequence[str], count: int
+    def floor_scores(
+        self, query_terms: Sequence[str], sizes: np.ndarray
     ) -> np.ndarray:
-        """The (database-independent) floor, replicated across ``count``."""
-        total = 0.0
-        for _word in query_terms:
-            total += 0.4
-        return np.full(count, total / len(query_terms), dtype=np.float64)
+        """The (database-independent) :meth:`floor_score`, replicated."""
+        return np.full(
+            sizes.size, self.floor_score(query_terms, None), dtype=np.float64
+        )
 
-    @staticmethod
-    def _fold_mean(word_scores: np.ndarray, query_length: int) -> np.ndarray:
-        """Word-sequential sum fold, then the / |q| normalization."""
-        totals = np.zeros(word_scores.shape[0], dtype=np.float64)
-        for column in word_scores.T:
-            totals = totals + column
-        return totals / query_length
+    def statistics(self, query_terms: Sequence[str], mix=None):
+        """(I per query word, mcw): from :meth:`prepare`, or recomputed
+        over a plain/shrunk mix exactly as a fresh ``prepare`` on the
+        materialized mixed dict would (cf over the chosen summaries, the
+        cw total folded in the mixed dict's insertion order)."""
+        if mix is None:
+            if self._num_databases == 0:
+                raise RuntimeError("CoriScorer.prepare must run before scoring")
+            return self._i_values(tuple(query_terms)), self._mean_cw
+        cf = mix.cf_at(mix.query_ids(query_terms))
+        return _i_from_cf(cf.tolist(), len(mix)), mix.mean_cw()
 
-    def _t_matrix(
+    def row_scores(
         self,
+        query_terms: Sequence[str],
         probabilities: np.ndarray,
         sizes: np.ndarray,
-        cw: np.ndarray,
-        mean_cw: float,
+        cw: np.ndarray | None = None,
+        statistics=None,
+        upper: bool = False,
     ) -> np.ndarray:
-        """T over a (databases, words) probability matrix, with the scalar
-        path's exact operation order (df + base, then + factor*cw/mcw)."""
+        """T with the scalar path's exact operation order (df + base, then
+        + factor*cw/mcw), then the word-sequential sum and the / |q|.
+
+        As a bound (``upper``): T is increasing in df and decreasing in
+        cw, and I > 0 always (cf <= m), so maximizing df and minimizing
+        cw dominates every covered row; the guard absorbs the independent
+        numerator/denominator rounding, and all-zero maxima still fold to
+        exactly the 0.4-per-word floor."""
+        if not query_terms:
+            return np.zeros(probabilities.shape[0], dtype=np.float64)
+        i_values, mean_cw = statistics
         document_frequency = probabilities * sizes[:, None]
-        return document_frequency / (
+        t_values = document_frequency / (
             document_frequency
             + self.df_base
             + (self.df_factor * cw / mean_cw)[:, None]
         )
-
-    def batch_floor_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> np.ndarray:
-        if not query_terms:
-            return np.zeros(len(matrix))
-        return self._floor_array(query_terms, len(matrix))
-
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        count = len(matrix)
-        if not query_terms:
-            return np.zeros(count), np.zeros(count)
-        if self._num_databases == 0:
-            raise RuntimeError("CoriScorer.prepare must run before scoring")
-        ids = matrix.query_ids(query_terms)
-        probabilities = matrix.gather(ids, "df")
-        cw = np.array(
-            [self._database_cw(s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-        t_values = self._t_matrix(probabilities, matrix.sizes, cw, self._mean_cw)
-        i_values = self._i_values(tuple(query_terms))
+        if upper:
+            t_values = t_values * _T_BOUND_GUARD
         word_scores = 0.4 + 0.6 * t_values * i_values
-        scores = self._fold_mean(word_scores, len(query_terms))
-        return scores, self._floor_array(query_terms, count)
-
-    def batch_scores_mixed(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mixed-set CORI: cf, cw and mcw are recomputed for the per-query
-        plain/shrunk row choice, exactly as a fresh ``prepare`` on the
-        materialized mixed dict would produce them."""
-        count = len(engine)
-        if not query_terms:
-            return np.zeros(count), np.zeros(count)
-        ids = engine.query_ids(query_terms)
-        probabilities = engine.gather_mixed(ids, "df", mask)
-        cw = engine.cw_mixed(mask)
-        mean_cw = engine.mean_cw(mask)
-        t_values = self._t_matrix(probabilities, engine.sizes, cw, mean_cw)
-        denominator = math.log(count + 1.0)
-        i_values = np.array(
-            [
-                math.log((count + 0.5) / max(cf, 1)) / denominator
-                for cf in engine.cf_at(ids, mask).tolist()
-            ],
-            dtype=np.float64,
-        )
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        scores = self._fold_mean(word_scores, len(query_terms))
-        return scores, self._floor_array(query_terms, count)
-
-    # -- pruned top-k hooks ----------------------------------------------------
-
-    def _mixed_i_values(
-        self, engine: AdaptiveBatchEngine, ids: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Per-word I factors of the mixed set (same fold as the serial
-        re-prepare on the materialized mixed dict)."""
-        count = len(engine)
-        denominator = math.log(count + 1.0)
-        return np.array(
-            [
-                math.log((count + 0.5) / max(cf, 1)) / denominator
-                for cf in engine.cf_at(ids, mask).tolist()
-            ],
-            dtype=np.float64,
-        )
-
-    def topk_mixed_context(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> dict:
-        ids = engine.query_ids(query_terms)
-        return {
-            "i_values": self._mixed_i_values(engine, ids, mask),
-            "mean_cw": engine.mean_cw(mask),
-        }
-
-    def topk_group_bounds(
-        self,
-        query_terms: Sequence[str],
-        pmax: np.ndarray,
-        size_ub: np.ndarray,
-        cw_lb: np.ndarray | None = None,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        """Upper bounds via T(df_ub, cw_lb): T is increasing in df and
-        decreasing in cw, and I > 0 always (cf <= m), so maximizing df
-        and minimizing cw dominates every covered row; the guard absorbs
-        the independent numerator/denominator rounding. All-zero pmax
-        folds to exactly the 0.4-per-word floor."""
-        if i_values is None:
-            if self._num_databases == 0:
-                raise RuntimeError(
-                    "CoriScorer.prepare must run before scoring"
-                )
-            i_values = self._i_values(tuple(query_terms))
-        if mean_cw is None:
-            mean_cw = self._mean_cw
-        if cw_lb is None:
-            raise ValueError("CORI top-k bounds need a cw lower bound")
-        document_frequency = pmax * size_ub[:, None]
-        t_bounds = document_frequency / (
-            document_frequency
-            + self.df_base
-            + (self.df_factor * cw_lb / mean_cw)[:, None]
-        )
-        t_bounds = t_bounds * _T_BOUND_GUARD
-        word_bounds = 0.4 + 0.6 * t_bounds * i_values
-        return self._fold_mean(word_bounds, len(query_terms))
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        if self._num_databases == 0:
-            raise RuntimeError("CoriScorer.prepare must run before scoring")
-        ids = matrix.query_ids(query_terms)
-        probabilities = matrix.gather_rows(rows, ids, "df")
-        cw = np.array(
-            [
-                self._database_cw(matrix.summaries[row])
-                for row in np.asarray(rows).tolist()
-            ],
-            dtype=np.float64,
-        )
-        t_values = self._t_matrix(
-            probabilities, matrix.sizes[rows], cw, self._mean_cw
-        )
-        i_values = self._i_values(tuple(query_terms))
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        return self._fold_mean(word_scores, len(query_terms))
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        probabilities = engine.gather_mixed_rows(rows, ids, "df", mask)
-        cw = engine.cw_mixed(mask)[rows]
-        if mean_cw is None:
-            mean_cw = engine.mean_cw(mask)
-        if i_values is None:
-            i_values = self._mixed_i_values(engine, ids, mask)
-        t_values = self._t_matrix(
-            probabilities, engine.sizes[rows], cw, mean_cw
-        )
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        return self._fold_mean(word_scores, len(query_terms))
+        totals = np.zeros(word_scores.shape[0], dtype=np.float64)
+        for column in word_scores.T:
+            totals = totals + column
+        return totals / len(query_terms)

@@ -17,29 +17,44 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.category import CategorySummaryBuilder
 from repro.selection.base import DatabaseScorer, rank_databases
-from repro.selection.batch import BatchSelectionEngine, UnsupportedSummarySet
-from repro.summaries.summary import ContentSummary
+from repro.selection.batch import BatchSelectionEngine, SummarySetMatrix
+from repro.summaries.summary import ContentSummary, rehome_summary
 
 
 class HierarchicalSelector:
-    """Hierarchical selection over category summaries."""
+    """Hierarchical selection over category summaries.
+
+    Categories are ranked serially (a handful of category summaries per
+    level); the databases under a category are ranked by the full-scan
+    engine over ``matrix`` — the cell's plain score matrix, or one stacked
+    here over the summaries re-homed onto the builder's vocabulary —
+    restricted to that category's rows, with the scorer re-prepared on
+    exactly those databases as the serial ranking would.
+    """
 
     def __init__(
         self,
         scorer: DatabaseScorer,
         builder: CategorySummaryBuilder,
         summaries: Mapping[str, ContentSummary],
+        matrix: SummarySetMatrix | None = None,
     ) -> None:
         self.scorer = scorer
         self.builder = builder
         self.summaries = dict(summaries)
-        #: Per-subtree batch engines for the leaf rankings (None for
-        #: summary sets that do not stack; those stay serial).
-        self._engines: dict[
-            tuple[str, ...], BatchSelectionEngine | None
-        ] = {}
+        if matrix is None:
+            matrix = SummarySetMatrix(
+                {
+                    name: rehome_summary(summary, builder.vocab)
+                    for name, summary in self.summaries.items()
+                }
+            )
+        self._engine = BatchSelectionEngine(scorer, matrix)
+        self._row_of = {name: row for row, name in enumerate(matrix.names)}
 
     def select(self, query_terms: Sequence[str], k: int) -> list[str]:
         """Select up to ``k`` databases, best-category-first."""
@@ -55,7 +70,9 @@ class HierarchicalSelector:
             if self.builder.databases_under(child.path)
         ]
         if not children:
-            return self._rank_databases_under(node.path, query_terms, k)
+            return self._rank_databases(
+                self.builder.databases_under(node.path), query_terms, k
+            )
 
         # Score the child categories as if they were databases, using their
         # Definition 3 category summaries.
@@ -82,54 +99,29 @@ class HierarchicalSelector:
         # Databases classified exactly at this (internal) node compete last,
         # after every explored child subtree.
         if len(selected) < k:
-            direct = self._direct_databases(node)
-            if direct:
-                ranked = rank_databases(
-                    self.scorer,
-                    query_terms,
-                    {name: self.summaries[name] for name in direct},
-                )
-                for entry in ranked:
-                    if len(selected) >= k:
-                        break
-                    if entry.selected and entry.name not in selected:
-                        selected.append(entry.name)
+            for name in self._rank_databases(
+                self._direct_databases(node), query_terms, k
+            ):
+                if len(selected) >= k:
+                    break
+                if name not in selected:
+                    selected.append(name)
         return selected[:k]
 
-    def _rank_databases_under(
-        self, path: tuple[str, ...], query_terms: Sequence[str], k: int
+    def _rank_databases(
+        self, names: Sequence[str], query_terms: Sequence[str], k: int
     ) -> list[str]:
-        names = self.builder.databases_under(path)
+        """The (at most ``k``) selected databases among ``names``."""
         if not names:
             return []
-        summaries = {name: self.summaries[name] for name in names}
-        engine = self._subtree_engine(path, summaries)
-        if engine is not None:
-            # The scorer is shared across subtrees, so its corpus-level
-            # statistics must be re-prepared on this subtree's set — the
-            # same preparation rank_databases performs, keeping the two
-            # paths bit-identical.
-            self.scorer.prepare(summaries)
-            ranked = engine.rank(query_terms)
-        else:
-            ranked = rank_databases(self.scorer, query_terms, summaries)
+        # The scorer is shared across categories, so its corpus-level
+        # statistics are re-prepared on exactly this database set — the
+        # preparation rank_databases performs, keeping the two paths
+        # bit-identical.
+        self.scorer.prepare({name: self.summaries[name] for name in names})
+        rows = np.array(sorted(self._row_of[name] for name in names))
+        ranked = self._engine.rank(query_terms, rows)
         return [entry.name for entry in ranked if entry.selected][:k]
-
-    def _subtree_engine(
-        self,
-        path: tuple[str, ...],
-        summaries: Mapping[str, ContentSummary],
-    ) -> BatchSelectionEngine | None:
-        """A cached batch engine for one subtree's database set."""
-        if path not in self._engines:
-            try:
-                engine = BatchSelectionEngine(
-                    self.scorer, summaries, prepare=False
-                )
-            except UnsupportedSummarySet:
-                engine = None
-            self._engines[path] = engine
-        return self._engines[path]
 
     def _direct_databases(self, node) -> list[str]:
         """Databases classified exactly at ``node`` (not under a child)."""

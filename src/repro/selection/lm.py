@@ -19,16 +19,12 @@ one id-array gather per query instead of per-word dict probes.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.lru import MISSING, LruCache
 from repro.selection.base import DatabaseScorer
 from repro.summaries.summary import ContentSummary
-
-if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
 
 #: Bound on the per-query p(w|G) vector cache (see base.QUERY_IDS_CACHE_SIZE).
 _GLOBAL_CACHE_SIZE = 512
@@ -39,7 +35,7 @@ class LanguageModelScorer(DatabaseScorer):
 
     name = "LM"
     word_decomposition = "product"
-    topk_regime = "tf"
+    regime = "tf"
 
     def __init__(
         self,
@@ -139,23 +135,6 @@ class LanguageModelScorer(DatabaseScorer):
     def scale(self, summary: ContentSummary) -> float:
         return 1.0
 
-    def _batch_from_probabilities(
-        self, query_terms: Sequence[str], probabilities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Smooth, fold and floor a (databases, words) probability matrix."""
-        count = probabilities.shape[0]
-        word_scores = (
-            self.smoothing_lambda * probabilities
-            + (1.0 - self.smoothing_lambda)
-            * self._global_vector(tuple(query_terms))
-        )
-        scores = np.ones(count, dtype=np.float64)
-        for column in word_scores.T:
-            scores = scores * column
-        return scores, np.full(
-            count, self._floor_value(query_terms), dtype=np.float64
-        )
-
     def _floor_value(self, query_terms: Sequence[str]) -> float:
         # The floor is database-independent: lambda * 0 + (1-lambda) * p(w|G)
         # per word, folded in the same order as the scalar path.
@@ -167,81 +146,31 @@ class LanguageModelScorer(DatabaseScorer):
             )
         return floor
 
-    def batch_floor_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
+    def floor_scores(
+        self, query_terms: Sequence[str], sizes: np.ndarray
     ) -> np.ndarray:
-        return np.full(len(matrix), self._floor_value(query_terms), dtype=np.float64)
+        return np.full(sizes.size, self._floor_value(query_terms), dtype=np.float64)
 
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = matrix.query_ids(query_terms)
-        return self._batch_from_probabilities(
-            query_terms, matrix.gather(ids, "tf")
-        )
-
-    def batch_scores_mixed(
+    def row_scores(
         self,
         query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray | None = None,
+        statistics=None,
+        upper: bool = False,
+    ) -> np.ndarray:
         # LM's only corpus-level input, p(w|G), is the Root category model
-        # — independent of the per-query summary choice — so the mixed
-        # path differs from batch_scores only in the gathered rows.
-        ids = engine.query_ids(query_terms)
-        return self._batch_from_probabilities(
-            query_terms, engine.gather_mixed(ids, "tf", mask)
-        )
-
-    # -- pruned top-k hooks ----------------------------------------------------
-
-    def topk_group_bounds(
-        self,
-        query_terms: Sequence[str],
-        pmax: np.ndarray,
-        size_ub: np.ndarray,
-        cw_lb: np.ndarray | None = None,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        # lambda * p + (1 - lambda) * p(w|G) is a single monotone rounded
-        # chain in p, so evaluating it at the per-word maxima — with the
-        # exact expression the scoring path uses — dominates every covered
-        # row, and a zero pmax entry reproduces the floor factor exactly.
-        word_bounds = (
-            self.smoothing_lambda * pmax
+        # — the same for every summary set and mix. lambda * p + (1 -
+        # lambda) * p(w|G) is a single monotone rounded chain in p, so the
+        # same expression over per-word maxima dominates every covered row,
+        # and a zero maximum reproduces the floor factor exactly.
+        word_scores = (
+            self.smoothing_lambda * probabilities
             + (1.0 - self.smoothing_lambda)
             * self._global_vector(tuple(query_terms))
         )
-        bounds = np.ones(pmax.shape[0], dtype=np.float64)
-        for column in word_bounds.T:
-            bounds = bounds * column
-        return bounds
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        ids = matrix.query_ids(query_terms)
-        scores, _ = self._batch_from_probabilities(
-            query_terms, matrix.gather_rows(rows, ids, "tf")
-        )
-        return scores
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        scores, _ = self._batch_from_probabilities(
-            query_terms, engine.gather_mixed_rows(rows, ids, "tf", mask)
-        )
+        scores = np.ones(probabilities.shape[0], dtype=np.float64)
+        for column in word_scores.T:
+            scores = scores * column
         return scores

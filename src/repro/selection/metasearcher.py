@@ -29,24 +29,22 @@ from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrinkageConfig, ShrunkSummary, shrink_all_summaries
 from repro.corpus.hierarchy import Hierarchy
-from repro.selection.base import DatabaseScorer, RankedDatabase, rank_databases
+from repro.selection.base import DatabaseScorer, RankedDatabase
+# The serial oracle the tests and benchmarks compare these engines
+# against stays importable from here; ranking never calls it.
+from repro.selection.base import rank_databases  # noqa: F401
 from repro.selection.batch import (
     AdaptiveBatchEngine,
     BatchSelectionEngine,
     SummarySetMatrix,
-    UnsupportedSummarySet,
-)
-from repro.selection.topk import (
-    GroupIndex,
-    MixedTopKEngine,
-    TopKEngine,
     group_labels,
 )
+from repro.selection.topk import MixedTopKEngine, TopKEngine, TopKStats
 from repro.selection.bgloss import BGlossScorer
 from repro.selection.cori import CoriScorer
 from repro.selection.hierarchical import HierarchicalSelector
 from repro.selection.lm import LanguageModelScorer
-from repro.summaries.summary import ContentSummary, SampledSummary
+from repro.summaries.summary import SampledSummary, rehome_summary
 
 
 class SelectionDeadlineExceeded(RuntimeError):
@@ -100,8 +98,49 @@ _ALGORITHMS = ("bgloss", "cori", "lm")
 MOMENT_CACHE_SIZE = 8192
 
 
+@dataclass(frozen=True)
+class _Engines:
+    """The scans one (algorithm, strategy) ranks through.
+
+    ``scorer`` is prepared on the fixed set (plain, universal) — the
+    adaptive decisions of Figure 3 read the plain one — and unprepared
+    for the mix, whose statistics follow each query's mask.
+    """
+
+    scorer: DatabaseScorer
+    full: BatchSelectionEngine | AdaptiveBatchEngine
+    pruned: TopKEngine | MixedTopKEngine
+
+    def rank(
+        self,
+        query_terms: Sequence[str],
+        k: int,
+        prune: bool,
+        mask: np.ndarray | None = None,
+    ) -> tuple[list[RankedDatabase], TopKStats | None]:
+        """(ranking, stats): pruned when it applies, else the full scan."""
+        args = (query_terms,) if mask is None else (query_terms, mask)
+        if prune:
+            pruned = self.pruned.rank(*args, k)
+            if pruned is not None:
+                return pruned
+        return self.full.rank(*args), None
+
+
 class Metasearcher:
-    """Database selection over one set of sampled summaries."""
+    """Database selection over one set of sampled summaries.
+
+    Every summary is re-homed onto the cell vocabulary
+    (``builder.vocab``) when it is installed, so the plain, universal and
+    mixed sets always stack into score matrices; ranking never falls back
+    to the serial :func:`~repro.selection.base.rank_databases`, which
+    stays the oracle the tests compare against. ``prepared_scorers``
+    supplies fixed-set corpus statistics from outside, keyed by
+    (algorithm, ``"plain"``/``"universal"``): a cluster shard passes
+    scorers prepared on the whole universe, so its scores equal the
+    single cell's. Without an entry, a fresh scorer is prepared on the
+    set itself.
+    """
 
     def __init__(
         self,
@@ -111,9 +150,9 @@ class Metasearcher:
         shrinkage_config: ShrinkageConfig | None = None,
         adaptive_config: AdaptiveConfig | None = None,
         builder: CategorySummaryBuilder | None = None,
+        prepared_scorers: Mapping[tuple[str, str], DatabaseScorer] | None = None,
     ) -> None:
         self.hierarchy = hierarchy
-        self.sampled_summaries = dict(sampled_summaries)
         self.classifications = dict(classifications)
         self.shrinkage_config = shrinkage_config or ShrinkageConfig()
         self.adaptive_config = adaptive_config or AdaptiveConfig()
@@ -122,25 +161,22 @@ class Metasearcher:
         #: a from-scratch aggregation; it must describe exactly the given
         #: summaries/classifications.
         self.builder = builder or CategorySummaryBuilder(
-            hierarchy, self.sampled_summaries, self.classifications
+            hierarchy, sampled_summaries, self.classifications
         )
+        self.sampled_summaries = {
+            name: rehome_summary(summary, self.builder.vocab)
+            for name, summary in sampled_summaries.items()
+        }
+        self.prepared_scorers = dict(prepared_scorers or {})
         self._shrunk: dict[str, ShrunkSummary] | None = None
         self._moment_caches: dict[str, LruCache] = {}
-        self._prepared_scorers: dict[tuple[str, str], DatabaseScorer] = {}
-        #: Batched scoring is the default; ``use_batched = False`` forces
-        #: the serial rank_databases path (the engines are bit-identical,
-        #: so this is a debugging escape hatch, not a semantic switch).
-        self.use_batched = True
-        self._engines: dict[tuple[str, str], BatchSelectionEngine | None] = {}
-        self._adaptive_engines: dict[str, AdaptiveBatchEngine | None] = {}
+        #: One engine record per (algorithm, strategy), built on first use.
+        self._engines: dict[tuple[str, str], _Engines] = {}
         #: One score matrix per summary *set* ("plain"/"shrunk"), shared
         #: by every algorithm's engines — matrices depend only on the
         #: summaries, so stacking them once per set instead of once per
         #: (algorithm, set) cuts snapshot memory by the algorithm count.
-        self._set_matrices: dict[str, SummarySetMatrix | None] = {}
-        self._group_indexes: dict[str, GroupIndex | None] = {}
-        self._topk: dict[tuple[str, str], TopKEngine | None] = {}
-        self._mixed_topk: dict[str, MixedTopKEngine | None] = {}
+        self._set_matrices: dict[str, SummarySetMatrix] = {}
         self._hierarchical: dict[str, HierarchicalSelector] = {}
         #: Copy-on-write seeds: previous-snapshot matrices engines may
         #: reuse rows from (see :meth:`seed_matrices_from`).
@@ -154,18 +190,16 @@ class Metasearcher:
         instead of re-densifying them — the "prebuilt SummarySetMatrix
         stacks" part of the snapshot contract.
         """
-        for key, matrix in previous._set_matrices.items():
-            if matrix is not None:
-                self._matrix_seeds[key] = matrix
+        self._matrix_seeds.update(previous._set_matrices)
 
     def ensure_engines(self, roles: set[str] | None = None) -> None:
-        """Construct batched engines without issuing a query.
+        """Construct engines (and their matrices) without issuing a query.
 
-        Engine construction is cheap (name sort + size stack); the heavy
-        dense matrices stay lazy. Callers that want to install external
-        buffers (shared-memory views, see :mod:`repro.serving.shm`) call
-        this first so the matrices exist to adopt into, *before* any
-        select densifies them locally.
+        Engine construction is cheap (scorer prepare, name sort, size
+        stack); the heavy dense matrices stay lazy. Callers that want to
+        install external buffers (shared-memory views, see
+        :mod:`repro.serving.shm`) call this first so the matrices exist
+        to adopt into, *before* any select densifies them locally.
 
         ``roles`` — snapshot role keys (``set:plain``/``set:shrunk``) —
         limits construction to the sets a manifest actually carries:
@@ -177,17 +211,13 @@ class Metasearcher:
         want_shrunk = roles is None or "set:shrunk" in roles
         for algorithm in _ALGORITHMS:
             if want_plain:
-                self._batched_engine(
-                    algorithm, "plain", self.sampled_summaries
-                )
+                self._engines_for(algorithm, SelectionStrategy.PLAIN)
             if want_shrunk:
-                self._batched_engine(
-                    algorithm, "universal", self.shrunk_summaries
-                )
+                self._engines_for(algorithm, SelectionStrategy.UNIVERSAL)
             if want_plain and want_shrunk:
-                self._adaptive_engine(algorithm)
+                self._engines_for(algorithm, SelectionStrategy.SHRINKAGE)
 
-    def engine_matrices(self) -> dict[str, "object"]:
+    def engine_matrices(self) -> dict[str, SummarySetMatrix]:
         """Every live score matrix, keyed by its stable snapshot role.
 
         One key per summary set — ``set:plain`` / ``set:shrunk`` — the
@@ -196,10 +226,12 @@ class Metasearcher:
         object ids.
         """
         return {
-            f"set:{key}": matrix
-            for key, matrix in self._set_matrices.items()
-            if matrix is not None
+            f"set:{key}": matrix for key, matrix in self._set_matrices.items()
         }
+
+    def engine_scorers(self) -> dict[tuple[str, str], DatabaseScorer]:
+        """The scorer of every built engine, keyed (algorithm, strategy)."""
+        return {key: engines.scorer for key, engines in self._engines.items()}
 
     @property
     def shrunk_summaries(self) -> dict[str, ShrunkSummary]:
@@ -221,7 +253,11 @@ class Metasearcher:
 
         The mapping must cover every sampled database; insertion order is
         normalized to the sampled-summary order so downstream iteration is
-        independent of where the shrunk summaries came from.
+        independent of where the shrunk summaries came from. Each R(D) is
+        re-homed onto the cell vocabulary with its base pointing at the
+        live sampled summary (a no-op for summaries already there), so the
+        shrunk set stacks beside the sampled one and the lifecycle can
+        prove R(D) reusable by identity.
         """
         missing = set(self.sampled_summaries) - set(shrunk)
         if missing:
@@ -229,29 +265,17 @@ class Metasearcher:
                 f"shrunk summaries missing for {sorted(missing)[:5]!r}"
             )
         self._shrunk = {
-            name: shrunk[name] for name in self.sampled_summaries
+            name: rehome_summary(shrunk[name], self.builder.vocab, base=sampled)
+            for name, sampled in self.sampled_summaries.items()
         }
         # Anything prepared or stacked over the previous R(D) set is stale.
-        self._prepared_scorers = {
-            key: scorer
-            for key, scorer in self._prepared_scorers.items()
-            if key[1] != "universal"
-        }
         self._engines = {
-            key: engine
-            for key, engine in self._engines.items()
-            if key[1] != "universal"
+            key: engines
+            for key, engines in self._engines.items()
+            if key[1] == SelectionStrategy.PLAIN.value
         }
-        self._adaptive_engines = {}
         self._set_matrices.pop("shrunk", None)
         self._matrix_seeds.pop("shrunk", None)
-        self._group_indexes.pop("shrunk", None)
-        self._topk = {
-            key: engine
-            for key, engine in self._topk.items()
-            if key[1] != "universal"
-        }
-        self._mixed_topk = {}
 
     def make_scorer(self, algorithm: str) -> DatabaseScorer:
         """A fresh scorer instance for ``algorithm`` (bgloss/cori/lm)."""
@@ -300,49 +324,32 @@ class Metasearcher:
             selector = self._hierarchical_selector(algorithm)
             return SelectionOutcome(names=selector.select(query_terms, k))
 
-        pruned = None
-        if strategy is SelectionStrategy.PLAIN:
-            decisions = None
-            if prune:
-                pruned = self._pruned_fixed(algorithm, "plain", query_terms, k)
-            if pruned is None:
-                ranking = self._fixed_set_ranking(
-                    algorithm, "plain", self.sampled_summaries, query_terms
-                )
-        elif strategy is SelectionStrategy.UNIVERSAL:
-            decisions = None
-            if prune:
-                pruned = self._pruned_fixed(
-                    algorithm, "universal", query_terms, k
-                )
-            if pruned is None:
-                ranking = self._fixed_set_ranking(
-                    algorithm, "universal", self.shrunk_summaries, query_terms
-                )
-        else:  # SHRINKAGE: the adaptive algorithm of Figure 3
-            decision_scorer = self._prepared_scorer(
-                algorithm, "plain", self.sampled_summaries
-            )
+        decisions = None
+        mask = None
+        if strategy is SelectionStrategy.SHRINKAGE:
+            # The adaptive algorithm of Figure 3: decide S(D) or R(D) per
+            # database with the plain set's statistics, then rank the mix.
+            decision_scorer = self._engines_for(
+                algorithm, SelectionStrategy.PLAIN
+            ).scorer
             decisions = self._adaptive_decisions(
                 decision_scorer,
                 query_terms,
-                self._batched_floors(algorithm, decision_scorer, query_terms),
+                self._batched_floors(decision_scorer, query_terms),
                 deadline=deadline,
             )
-            if prune:
-                pruned = self._pruned_mixed(
-                    algorithm, query_terms, decisions, k
-                )
-            if pruned is None:
-                ranking = self._mixed_set_ranking(
-                    algorithm, query_terms, decisions
-                )
+            names = self._set_matrix("plain").names
+            mask = np.array(
+                [decisions[name].use_shrinkage for name in names], dtype=bool
+            )
+        ranking, stats = self._engines_for(algorithm, strategy).rank(
+            query_terms, k, prune, mask
+        )
 
         candidates_scored = None
-        if pruned is not None:
+        if stats is not None:
             from repro.evaluation.instrument import count, observe
 
-            ranking, stats = pruned
             candidates_scored = stats.candidates_scored
             observe("select.candidates_scored", float(stats.candidates_scored))
             count("select.subtrees_pruned", stats.groups_pruned)
@@ -360,8 +367,8 @@ class Metasearcher:
     def _hierarchical_selector(self, algorithm: str) -> HierarchicalSelector:
         """One cached hierarchical selector per algorithm.
 
-        Reuse keeps the selector's per-subtree batch engines warm across
-        queries instead of rebuilding them on every select call.
+        Reuse keeps the selector's subtree row lists warm across queries;
+        its database rankings run on the plain set's matrix.
         """
         key = algorithm.lower()
         selector = self._hierarchical.get(key)
@@ -370,62 +377,22 @@ class Metasearcher:
                 self.make_scorer(algorithm),
                 self.builder,
                 self.sampled_summaries,
+                matrix=self._set_matrix("plain"),
             )
             self._hierarchical[key] = selector
         return selector
 
-    # -- batched engines ---------------------------------------------------------
+    # -- engines -----------------------------------------------------------------
 
-    def _fixed_set_ranking(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-        query_terms: Sequence[str],
-    ):
-        """Rank a fixed summary set, batched when the set stacks."""
-        scorer = self._prepared_scorer(algorithm, key, summaries)
-        engine = self._batched_engine(algorithm, key, summaries)
-        if engine is not None:
-            return engine.rank(query_terms)
-        return rank_databases(scorer, query_terms, summaries, prepare=False)
+    def _set_matrix(self, key: str) -> SummarySetMatrix:
+        """The one shared score matrix for a summary set ("plain"/"shrunk").
 
-    def _mixed_set_ranking(
-        self,
-        algorithm: str,
-        query_terms: Sequence[str],
-        decisions: Mapping[str, AdaptiveDecision],
-    ):
-        """Rank the per-query plain/shrunk mix chosen by ``decisions``."""
-        engine = self._adaptive_engine(algorithm)
-        if engine is not None:
-            mask = np.array(
-                [decisions[name].use_shrinkage for name in engine.names],
-                dtype=bool,
-            )
-            try:
-                return engine.rank(query_terms, mask)
-            except NotImplementedError:
-                self._adaptive_engines[algorithm.lower()] = None
-        summaries = {
-            name: (
-                self.shrunk_summaries[name]
-                if decisions[name].use_shrinkage
-                else sampled
-            )
-            for name, sampled in self.sampled_summaries.items()
-        }
-        # The mixed summary set changes per query, so corpus-level
-        # statistics (CORI's cf/mcw) must be recomputed here.
-        return rank_databases(
-            self.make_scorer(algorithm), query_terms, summaries
-        )
-
-    def _set_matrix(self, key: str) -> SummarySetMatrix | None:
-        """The one shared score matrix for a summary set ("plain"/"shrunk"),
-        or ``None`` when the set does not stack (mixed vocabularies,
-        unknown summary types)."""
-        if key not in self._set_matrices:
+        Raises :class:`~repro.selection.batch.UnsupportedSummarySet` when
+        the set cannot stack — never the case for summaries installed
+        through this class, which re-homes them onto the cell vocabulary.
+        """
+        matrix = self._set_matrices.get(key)
+        if matrix is None:
             from repro.evaluation.instrument import span
 
             summaries = (
@@ -433,235 +400,91 @@ class Metasearcher:
                 if key == "plain"
                 else self.shrunk_summaries
             )
-            try:
-                with span(
-                    "matrix.build",
-                    summary_set=key,
-                    databases=len(summaries),
-                ):
-                    matrix = SummarySetMatrix(
-                        summaries, previous=self._matrix_seeds.get(key)
-                    )
-            except UnsupportedSummarySet:
-                matrix = None
+            with span(
+                "matrix.build", summary_set=key, databases=len(summaries)
+            ):
+                matrix = SummarySetMatrix(
+                    summaries,
+                    previous=self._matrix_seeds.get(key),
+                    labels=group_labels(sorted(summaries), self.classifications),
+                )
             self._set_matrices[key] = matrix
-        return self._set_matrices[key]
+        return matrix
 
-    def _batched_engine(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-    ) -> BatchSelectionEngine | None:
-        """The cached score-matrix engine for a fixed summary set, or
-        ``None`` when batching is off or the set does not stack (mixed
-        vocabularies, unknown summary types)."""
-        if not self.use_batched:
-            return None
-        cache_key = (algorithm.lower(), key)
-        if cache_key not in self._engines:
+    def _engines_for(
+        self, algorithm: str, strategy: SelectionStrategy
+    ) -> _Engines:
+        """The cached engine record of one (algorithm, strategy)."""
+        key = (algorithm.lower(), strategy.value)
+        engines = self._engines.get(key)
+        if engines is None:
             from repro.evaluation.instrument import span
 
-            scorer = self._prepared_scorer(algorithm, key, summaries)
-            matrix = self._set_matrix("plain" if key == "plain" else "shrunk")
-            if matrix is None:
-                engine = None
-            else:
-                try:
-                    with span(
-                        "engine.build",
-                        algorithm=algorithm.lower(),
-                        summary_set=key,
-                        databases=len(summaries),
-                    ):
-                        engine = BatchSelectionEngine(
-                            scorer,
-                            summaries,
-                            prepare=False,
-                            matrix=matrix,
-                        )
-                except UnsupportedSummarySet:
-                    engine = None
-            self._engines[cache_key] = engine
-        return self._engines[cache_key]
+            with span(
+                "engine.build",
+                algorithm=key[0],
+                summary_set=key[1],
+                databases=len(self.sampled_summaries),
+            ):
+                engines = self._build_engines(*key)
+            self._engines[key] = engines
+        return engines
 
-    def _adaptive_engine(self, algorithm: str) -> AdaptiveBatchEngine | None:
-        """The cached mixed-set engine (plain + shrunk matrices), or None."""
-        if not self.use_batched:
-            return None
-        key = algorithm.lower()
-        if key not in self._adaptive_engines:
-            from repro.evaluation.instrument import span
-
-            plain_matrix = self._set_matrix("plain")
-            shrunk_matrix = self._set_matrix("shrunk")
-            if plain_matrix is None or shrunk_matrix is None:
-                engine = None
-            else:
-                try:
-                    with span(
-                        "engine.build",
-                        algorithm=key,
-                        summary_set="adaptive",
-                        databases=len(self.sampled_summaries),
-                    ):
-                        engine = AdaptiveBatchEngine(
-                            self.make_scorer(algorithm),
-                            self.sampled_summaries,
-                            self.shrunk_summaries,
-                            plain_matrix=plain_matrix,
-                            shrunk_matrix=shrunk_matrix,
-                        )
-                except UnsupportedSummarySet:
-                    engine = None
-            self._adaptive_engines[key] = engine
-        return self._adaptive_engines[key]
-
-    # -- pruned top-k ------------------------------------------------------------
-
-    def _group_index(self, key: str) -> GroupIndex | None:
-        """The cached per-category-subtree bound index for a set matrix."""
-        if key not in self._group_indexes:
-            matrix = self._set_matrix(key)
-            if matrix is None:
-                index = None
-            else:
-                index = GroupIndex(
-                    matrix, group_labels(matrix.names, self.classifications)
-                )
-            self._group_indexes[key] = index
-        return self._group_indexes[key]
-
-    def _topk_engine(self, algorithm: str, key: str) -> TopKEngine | None:
-        """The cached pruned top-k engine for a fixed summary set."""
-        cache_key = (algorithm.lower(), key)
-        if cache_key not in self._topk:
-            summaries = (
-                self.sampled_summaries
-                if key == "plain"
-                else self.shrunk_summaries
+    def _build_engines(self, algorithm: str, strategy: str) -> _Engines:
+        if strategy == SelectionStrategy.SHRINKAGE.value:
+            plain = self._set_matrix("plain")
+            shrunk = self._set_matrix("shrunk")
+            scorer = self.make_scorer(algorithm)
+            return _Engines(
+                scorer,
+                AdaptiveBatchEngine(scorer, plain, shrunk),
+                MixedTopKEngine(scorer, plain, shrunk),
             )
-            engine = self._batched_engine(algorithm, key, summaries)
-            set_key = "plain" if key == "plain" else "shrunk"
-            groups = self._group_index(set_key)
-            if (
-                engine is None
-                or groups is None
-                or engine.scorer.topk_regime is None
-            ):
-                topk = None
-            else:
-                topk = TopKEngine(engine.scorer, engine.matrix, groups)
-            self._topk[cache_key] = topk
-        return self._topk[cache_key]
-
-    def _mixed_topk_engine(self, algorithm: str) -> MixedTopKEngine | None:
-        """The cached pruned top-k engine over per-query plain/shrunk mixes."""
-        key = algorithm.lower()
-        if key not in self._mixed_topk:
-            engine = self._adaptive_engine(algorithm)
-            plain_groups = self._group_index("plain")
-            shrunk_groups = self._group_index("shrunk")
-            if (
-                engine is None
-                or plain_groups is None
-                or shrunk_groups is None
-                or engine.scorer.topk_regime is None
-            ):
-                topk = None
-            else:
-                topk = MixedTopKEngine(
-                    engine.scorer, engine, plain_groups, shrunk_groups
-                )
-            self._mixed_topk[key] = topk
-        return self._mixed_topk[key]
-
-    def _pruned_fixed(
-        self,
-        algorithm: str,
-        key: str,
-        query_terms: Sequence[str],
-        k: int,
-    ):
-        """Pruned exact top-k over a fixed set, or None (full scan)."""
-        if not self.use_batched:
-            return None
-        topk = self._topk_engine(algorithm, key)
-        if topk is None:
-            return None
-        return topk.rank(query_terms, k)
-
-    def _pruned_mixed(
-        self,
-        algorithm: str,
-        query_terms: Sequence[str],
-        decisions: Mapping[str, AdaptiveDecision],
-        k: int,
-    ):
-        """Pruned exact top-k over the adaptive mix, or None (full scan)."""
-        if not self.use_batched:
-            return None
-        topk = self._mixed_topk_engine(algorithm)
-        if topk is None:
-            return None
-        mask = np.array(
-            [decisions[name].use_shrinkage for name in topk.engine.names],
-            dtype=bool,
-        )
-        return topk.rank(query_terms, mask, k)
-
-    def _batched_floors(
-        self,
-        algorithm: str,
-        scorer: DatabaseScorer,
-        query_terms: Sequence[str],
-    ) -> dict[str, float] | None:
-        """Per-database floor scores in one batched pass (or None)."""
-        engine = self._batched_engine(
-            algorithm, "plain", self.sampled_summaries
-        )
-        if engine is None:
-            return None
-        floors = scorer.batch_floor_scores(query_terms, engine.matrix)
-        return dict(zip(engine.names, floors.tolist()))
-
-    def _prepared_scorer(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-    ) -> DatabaseScorer:
-        """A scorer prepared once per fixed summary set, then reused."""
-        cache_key = (algorithm.lower(), key)
-        scorer = self._prepared_scorers.get(cache_key)
+        plain_set = strategy == SelectionStrategy.PLAIN.value
+        matrix = self._set_matrix("plain" if plain_set else "shrunk")
+        scorer = self.prepared_scorers.get((algorithm, strategy))
         if scorer is None:
             from repro.evaluation.instrument import span
 
+            summaries = (
+                self.sampled_summaries if plain_set else self.shrunk_summaries
+            )
             scorer = self.make_scorer(algorithm)
             with span(
                 "scorer.prepare",
-                algorithm=algorithm.lower(),
-                summary_set=key,
+                algorithm=algorithm,
+                summary_set=strategy,
                 databases=len(summaries),
             ):
                 scorer.prepare(summaries)
-            self._prepared_scorers[cache_key] = scorer
-        return scorer
+        return _Engines(
+            scorer,
+            BatchSelectionEngine(scorer, matrix),
+            TopKEngine(scorer, matrix),
+        )
+
+    def _batched_floors(
+        self, scorer: DatabaseScorer, query_terms: Sequence[str]
+    ) -> dict[str, float]:
+        """Per-database floor scores in one batched pass."""
+        matrix = self._set_matrix("plain")
+        floors = scorer.floor_scores(query_terms, matrix.sizes)
+        return dict(zip(matrix.names, floors.tolist()))
 
     def _adaptive_decisions(
         self,
         scorer: DatabaseScorer,
         query_terms: Sequence[str],
-        floors: Mapping[str, float] | None = None,
+        floors: Mapping[str, float],
         deadline: float | None = None,
     ) -> dict[str, AdaptiveDecision]:
         """Content-summary-selection step of Figure 3 for every database.
 
         ``scorer`` must already be prepared on the unshrunk summaries: the
         uncertainty model scores hypothetical frequencies with the corpus
-        statistics of the summaries actually observed. ``floors`` carries
-        batched-computed floor scores when available (bit-identical to the
-        per-database computation, see base.batch_floor_scores).
+        statistics of the summaries actually observed. ``floors`` are the
+        batched floor scores (bit-identical to the per-database
+        ``floor_score``).
         """
         from repro.evaluation.instrument import count
 
@@ -681,10 +504,7 @@ class Metasearcher:
                 sampled, self.adaptive_config, moment_cache=cache
             )
             mean, std = model.score_moments(scorer, query_terms)
-            if floors is not None:
-                floor = floors[name]
-            else:
-                floor = scorer.floor_score(query_terms, sampled)
+            floor = floors[name]
             decisions[name] = AdaptiveDecision(
                 use_shrinkage=std > mean - floor, mean=mean, std=std, floor=floor
             )

@@ -20,7 +20,7 @@ per-shard ``k' = k`` suffices for the merged selected set.
 The adaptive ``shrinkage`` strategy is deliberately **not** clusterable:
 its mixed-set CORI path recomputes cf/cw/mcw per query over the *mixed*
 plain/shrunk choice across the whole universe (see
-``CoriScorer.batch_scores_mixed``) — per-query whole-universe statistics
+``CoriScorer.statistics``) — per-query whole-universe statistics
 that a single scatter round cannot reproduce. Clusters therefore serve
 the fixed-set strategies (``plain``, ``universal``) only; a two-round
 scatter (decision round, then statistics exchange) is future work.
@@ -163,13 +163,16 @@ def shard_metasearcher(
 
     Three rules make per-database scores equal the single-cell values:
 
-    * **Frozen global scorers.** The shard's prepared-scorer cache is
-      seeded with :func:`freeze_global_scorers` output, so CORI's
-      cf(w)/m/mcw and LM's root-category p(w|G) are universe-wide. The
-      batch engines only read probabilities and sizes from the shard
-      matrix; every corpus statistic comes from the prepared scorer, and
-      the pruned top-k bounds use the same statistics, so bound
-      domination carries over unchanged.
+    * **Frozen global scorers.** The shard is built with
+      :func:`freeze_global_scorers` output as its ``prepared_scorers``,
+      so CORI's cf(w)/m/mcw and LM's root-category p(w|G) are
+      universe-wide. The engines only read probabilities, sizes and cw
+      from the shard matrix; every corpus statistic comes from the
+      prepared scorer, and the pruned top-k bounds use the same
+      statistics, so bound domination carries over unchanged. Lifecycle
+      updates carry the same scorers into every updated shard cell, so
+      the whole cluster stays on one statistics epoch (refreshing it is
+      a cluster rebuild; the statistics are slowly varying aggregates).
     * **Restricted shrunk set.** When ``universal`` is served, the
       *source's* R(D) — shrunk against the universe-wide category
       mixture — is restricted to the shard (``shrink_all_summaries`` is
@@ -179,7 +182,7 @@ def shard_metasearcher(
       consulted by the fixed-set scoring paths (the frozen scorers carry
       every global statistic), but the lifecycle updater derives the
       next cell from it — a shard update must yield a shard, not the
-      universe (see :class:`ShardSelectionService`).
+      universe.
     """
     missing = [name for name in names if name not in source.sampled_summaries]
     if missing:
@@ -190,64 +193,21 @@ def shard_metasearcher(
     classifications = {
         name: source.classifications[name] for name in names
     }
+    if frozen_scorers is None:
+        frozen_scorers = freeze_global_scorers(source, strategies)
     shard = Metasearcher(
         source.hierarchy,
         summaries,
         classifications,
         shrinkage_config=source.shrinkage_config,
         adaptive_config=source.adaptive_config,
+        prepared_scorers=frozen_scorers,
     )
     if any(strategy != "plain" for strategy in strategies):
         shard.set_shrunk_summaries(
             {name: source.shrunk_summaries[name] for name in names}
         )
-    if frozen_scorers is None:
-        frozen_scorers = freeze_global_scorers(source, strategies)
-    shard._prepared_scorers.update(frozen_scorers)
     return shard
-
-
-class ShardSelectionService(SelectionService):
-    """A shard's service: updated cells keep the frozen statistics epoch.
-
-    ``apply_update`` re-injects the cluster's frozen global scorers into
-    every new snapshot before it is warmed, so post-update scoring stays
-    on the statistics epoch the whole cluster shares — corpus statistics
-    never silently collapse to shard-local values on one shard while the
-    others keep universe-wide ones. (Refreshing the epoch is a cluster
-    rebuild; the statistics are slowly varying aggregates.) Everything
-    else — copy-on-write snapshot build, journal, warm, atomic swap — is
-    the base service unchanged, which is what makes replica journal
-    replay land on a bit-identical cell.
-    """
-
-    def __init__(
-        self,
-        metasearcher: Metasearcher,
-        config: ServiceConfig | None = None,
-        frozen_scorers: Mapping[tuple[str, str], object] | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(metasearcher, config, **kwargs)
-        self._frozen_scorers = dict(frozen_scorers or {})
-
-    def apply_update(
-        self,
-        ops: Sequence[Mapping],
-        verify: bool = False,
-        materialize=None,
-        version: int | None = None,
-    ) -> dict:
-        def inject(metasearcher: Metasearcher, new_version: int):
-            for key, scorer in self._frozen_scorers.items():
-                metasearcher._prepared_scorers.setdefault(key, scorer)
-            if materialize is not None:
-                return materialize(metasearcher, new_version)
-            return None
-
-        return super().apply_update(
-            ops, verify=verify, materialize=inject, version=version
-        )
 
 
 # -- response merge ------------------------------------------------------------
@@ -1100,9 +1060,7 @@ class Cluster:
                 targets = []
                 shard_nodes: list[object] = []
                 for role in roles:
-                    service = ShardSelectionService(
-                        shard, self.service_config, frozen_scorers=frozen
-                    )
+                    service = SelectionService(shard, self.service_config)
                     service.warmup()
                     if self.in_process:
                         targets.append(LocalShardTarget(service))

@@ -48,63 +48,24 @@ import numpy as np
 from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrunkSummary, shrink_database_summary
-from repro.core.vocab import Vocabulary
 from repro.selection.metasearcher import Metasearcher
 from repro.summaries.io import summary_from_dict, summary_to_dict
-from repro.summaries.summary import ContentSummary, SampledSummary
+from repro.summaries.summary import (
+    ContentSummary,
+    SampledSummary,
+    rehome_summary,
+)
 
 #: Bound on the updater's exact EM-input digest → lambdas cache.
 EM_CACHE_SIZE = 4096
 
+#: Part of every lifecycle artifact's store key. Version 2: ``restore``
+#: puts a database back at its old position in the cell's fold order, so
+#: shrunk sets saved when it appended must never be replayed.
+LIFECYCLE_ARTIFACT_VERSION = 2
+
 #: Operations :func:`canonical_op` accepts.
 _OP_KINDS = ("add", "remove", "replace", "resample", "restore")
-
-
-def rehome_summary(
-    summary: ContentSummary,
-    vocab: Vocabulary,
-    base: ContentSummary | None = None,
-) -> ContentSummary:
-    """``summary`` rebuilt over ``vocab`` (returned as-is when already there).
-
-    Incoming summaries — uploaded payloads, harness resamples, store
-    loads — arrive on their own vocabulary instance; the cell's builder
-    and matrices require its shared one. Translation preserves every
-    probability bitwise (ids are permuted and re-interned, values are
-    untouched) and, for :class:`SampledSummary`, carries the raw sample
-    statistics across (they are keyed by word strings, so they are
-    vocabulary-independent). ``base`` replaces a shrunk summary's base
-    object, letting a store-loaded R(D) point at the live sampled
-    summary.
-    """
-    if summary.vocab is vocab and base is None:
-        return summary
-    df = summary.regime_arrays("df", vocab)
-    tf = summary.regime_arrays("tf", vocab)
-    if isinstance(summary, ShrunkSummary):
-        return ShrunkSummary(
-            size=summary.size,
-            df_probs=df,
-            tf_probs=tf,
-            lambdas=summary.lambdas,
-            tf_lambdas=summary.tf_lambdas,
-            component_names=summary.component_names,
-            uniform_probability=summary.uniform_probability,
-            base=base if base is not None else rehome_summary(summary.base, vocab),
-            vocab=vocab,
-        )
-    if isinstance(summary, SampledSummary):
-        return SampledSummary(
-            size=summary.size,
-            df_probs=df,
-            tf_probs=tf,
-            sample_size=summary.sample_size,
-            sample_df=summary.sample_df,
-            alpha=summary.alpha,
-            sample_tf=summary.sample_tf,
-            vocab=vocab,
-        )
-    return ContentSummary(summary.size, df, tf, vocab=vocab)
 
 
 def canonical_op(op: Mapping) -> dict:
@@ -277,6 +238,9 @@ class CellUpdater:
         self.hierarchy = metasearcher.hierarchy
         self.shrinkage_config = metasearcher.shrinkage_config
         self.adaptive_config = metasearcher.adaptive_config
+        #: Externally prepared fixed-set scorers (a cluster shard's
+        #: universe-wide statistics) carried into every updated cell.
+        self.prepared_scorers = metasearcher.prepared_scorers
         #: Artifact store for lifecycle persistence (optional).
         self.store = store
         #: The base cell's shrunk-artifact configuration; with ``store``,
@@ -290,7 +254,10 @@ class CellUpdater:
         #: Exact EM-input digest → lambdas (see shrinkage.em_input_digest).
         self.em_cache = LruCache(EM_CACHE_SIZE)
         #: Summaries (and paths) of removed databases, for ``restore``.
-        self._removed: dict[str, tuple[ContentSummary, tuple[str, ...]]] = {}
+        #: Each entry is (summary, path, names that followed it then).
+        self._removed: dict[
+            str, tuple[ContentSummary, tuple[str, ...], tuple[str, ...]]
+        ] = {}
 
     # -- op application --------------------------------------------------------
 
@@ -333,7 +300,9 @@ class CellUpdater:
         previous_summaries = self._builder.database_summaries()
         uniform_before = self._builder.uniform_probability()
         changed: set[tuple[str, ...]] = set()
-        removed_now: dict[str, tuple[ContentSummary, tuple[str, ...]]] = {}
+        removed_now: dict[
+            str, tuple[ContentSummary, tuple[str, ...], tuple[str, ...]]
+        ] = {}
 
         with span("lifecycle.apply", ops=len(ops)):
             for op in ops:
@@ -346,17 +315,29 @@ class CellUpdater:
                         raise ValueError(
                             f"cannot remove unknown database {name!r}"
                         ) from None
-                    summary = working.database_summaries()[name]
+                    current = working.database_summaries()
+                    order = list(current)
+                    summary = current[name]
                     changed |= working.remove_database(name)
-                    removed_now[name] = (summary, path)
+                    following = tuple(order[order.index(name) + 1 :])
+                    removed_now[name] = (summary, path, following)
                 elif kind == "restore":
                     record = removed_now.pop(name, None) or self._removed.get(name)
                     if record is None:
                         raise ValueError(
                             f"cannot restore {name!r}: it was never removed"
                         )
-                    summary, path = record
-                    changed |= working.add_database(name, summary, path)
+                    summary, path, following = record
+                    # Back where it was in the fold order: before the first
+                    # database that followed it and is still here.
+                    present = working.database_classifications()
+                    before = next(
+                        (other for other in following if other in present),
+                        None,
+                    )
+                    changed |= working.add_database(
+                        name, summary, path, before=before
+                    )
                 elif kind == "add":
                     summary = self._materialize(op, working)
                     changed |= working.add_database(
@@ -364,7 +345,12 @@ class CellUpdater:
                     )
                 else:  # replace / resample
                     summary = self._materialize(op, working)
-                    changed |= working.replace_database(name, summary)
+                    current = working.database_summaries().get(name)
+                    # A summary equal field for field to the current one
+                    # leaves the current object in place: nothing is
+                    # touched and every derived state carries over.
+                    if not same_summary(summary, current):
+                        changed |= working.replace_database(name, summary)
 
             summaries = working.database_summaries()
             classifications = working.database_classifications()
@@ -389,6 +375,7 @@ class CellUpdater:
             shrinkage_config=self.shrinkage_config,
             adaptive_config=self.adaptive_config,
             builder=working,
+            prepared_scorers=self.prepared_scorers,
         )
         metasearcher.set_shrunk_summaries(shrunk)
         if previous is not None:
@@ -473,11 +460,30 @@ class CellUpdater:
         from repro.evaluation import store as store_mod
         from repro.evaluation.instrument import count
 
+        reusable = {
+            name: previous
+            for name, summary in summaries.items()
+            if (previous := self._shrunk.get(name)) is not None
+            and uniform_same
+            and previous_is_reusable(
+                previous,
+                summary,
+                previous_summaries.get(name),
+                classifications[name],
+                changed,
+                self.hierarchy,
+            )
+        }
+        if len(reusable) == len(summaries):
+            # Nothing any R(D) depends on changed: keep every object.
+            return reusable, len(reusable), 0, False
+
         key = None
         config = None
         if self.store is not None and self.base_config is not None:
             config = {
                 "artifact": "lifecycle",
+                "version": LIFECYCLE_ARTIFACT_VERSION,
                 "base": self.base_config,
                 "journal": journal,
             }
@@ -495,34 +501,19 @@ class CellUpdater:
                 }
                 return shrunk, 0, 0, True
 
-        shrunk: dict[str, ShrunkSummary] = {}
-        reused = 0
-        em_ran = 0
-        for name, summary in summaries.items():
-            previous = self._shrunk.get(name)
-            if (
-                previous is not None
-                and uniform_same
-                and previous_is_reusable(
-                    previous,
-                    summary,
-                    previous_summaries.get(name),
-                    classifications[name],
-                    changed,
-                    self.hierarchy,
-                )
-            ):
-                shrunk[name] = previous
-                reused += 1
-                continue
-            shrunk[name] = shrink_database_summary(
+        shrunk = {
+            name: reusable.get(name)
+            or shrink_database_summary(
                 name,
                 summary,
                 working,
                 self.shrinkage_config,
                 em_cache=self.em_cache,
             )
-            em_ran += 1
+            for name, summary in summaries.items()
+        }
+        reused = len(reusable)
+        em_ran = len(summaries) - reused
 
         if self.store is not None and key is not None:
             self.store.save(
@@ -532,6 +523,43 @@ class CellUpdater:
                 config=config,
             )
         return shrunk, reused, em_ran, False
+
+
+def same_summary(
+    summary: ContentSummary, current: ContentSummary | None
+) -> bool:
+    """Whether ``summary`` equals ``current`` field for field: type,
+    vocabulary, size, both regimes' ids and values, and for sampled
+    summaries the sample size, sample df/tf and alpha."""
+    if (
+        current is None
+        or type(summary) is not type(current)
+        or type(summary) not in (ContentSummary, SampledSummary)
+        or summary.vocab is not current.vocab
+        or summary.size != current.size
+    ):
+        return False
+    for regime in ("df", "tf"):
+        ids, values = summary.regime_arrays(regime)
+        current_ids, current_values = current.regime_arrays(regime)
+        if not (
+            np.array_equal(ids, current_ids)
+            and np.array_equal(values, current_values)
+        ):
+            return False
+    if isinstance(summary, SampledSummary):
+        return (
+            summary.sample_size,
+            summary.sample_df,
+            summary.sample_tf,
+            summary.alpha,
+        ) == (
+            current.sample_size,
+            current.sample_df,
+            current.sample_tf,
+            current.alpha,
+        )
+    return True
 
 
 def previous_is_reusable(
@@ -609,6 +637,7 @@ def verify_against_rebuild(
         builder=CategorySummaryBuilder(
             metasearcher.hierarchy, summaries, classifications
         ),
+        prepared_scorers=metasearcher.prepared_scorers,
     )
 
     mismatches: list[str] = []
@@ -648,23 +677,20 @@ def verify_against_rebuild(
     # stale or corrupted bound silently breaks its exactness guarantee,
     # so the bounds are held to the same bitwise standard as the dense
     # matrices they summarize.
-    for key in ("plain", "shrunk"):
-        mine = metasearcher._set_matrix(key)
-        theirs = fresh._set_matrix(key)
-        if (mine is None) != (theirs is None):
-            mismatches.append(f"set:{key}: matrix support differs")
-            continue
-        if mine is None:
-            continue
+    metasearcher.ensure_engines()
+    fresh.ensure_engines()
+    theirs_by_role = fresh.engine_matrices()
+    for key, mine in metasearcher.engine_matrices().items():
+        theirs = theirs_by_role[key]
         for regime in ("df", "tf"):
             if not np.array_equal(
                 mine.column_max(regime), theirs.column_max(regime)
             ):
-                mismatches.append(f"set:{key}: colmax.{regime}")
+                mismatches.append(f"{key}: colmax.{regime}")
             if not np.array_equal(
                 mine.row_max(regime), theirs.row_max(regime)
             ):
-                mismatches.append(f"set:{key}: rowmax.{regime}")
+                mismatches.append(f"{key}: rowmax.{regime}")
 
     if queries is None:
         queries = probe_queries(metasearcher)

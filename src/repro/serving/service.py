@@ -885,7 +885,7 @@ class SelectionService:
         if snapshot is None:
             snapshot = self._snapshot
         sizes = {"responses": len(snapshot.cache)}
-        for key, scorer in snapshot.metasearcher._prepared_scorers.items():
+        for key, scorer in snapshot.metasearcher.engine_scorers().items():
             cache = getattr(scorer, "_query_ids_cache", None)
             if cache is not None:
                 sizes[f"query_ids.{key[0]}.{key[1]}"] = len(cache)

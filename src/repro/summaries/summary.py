@@ -304,6 +304,42 @@ class ContentSummary:
             f"words={self._df_ids.size})"
         )
 
+    def rehomed(
+        self, vocab: Vocabulary, base: "ContentSummary | None" = None
+    ) -> "ContentSummary":
+        """This summary rebuilt over ``vocab`` (see :func:`rehome_summary`);
+        subclasses carry their own extra fields across."""
+        return ContentSummary(
+            self.size,
+            self.regime_arrays("df", vocab),
+            self.regime_arrays("tf", vocab),
+            vocab=vocab,
+        )
+
+
+def rehome_summary(
+    summary: ContentSummary,
+    vocab: Vocabulary,
+    base: ContentSummary | None = None,
+) -> ContentSummary:
+    """``summary`` rebuilt over ``vocab`` (returned as-is when already there).
+
+    Summaries built or loaded separately — uploaded payloads, harness
+    resamples, store loads — arrive on their own vocabulary instance;
+    a cell's category builder and score matrices require its shared one.
+    Translation preserves every probability bitwise (ids are permuted and
+    re-interned, values are untouched) and, for :class:`SampledSummary`,
+    carries the raw sample statistics across (they are keyed by word
+    strings, so they are vocabulary-independent). ``base`` replaces a
+    shrunk summary's base object, letting a store-loaded R(D) point at
+    the live sampled summary.
+    """
+    if summary.vocab is vocab and (
+        base is None or getattr(summary, "base", None) is base
+    ):
+        return summary
+    return summary.rehomed(vocab, base)
+
 
 class SampledSummary(ContentSummary):
     """Approximate content summary built from a document sample (Def. 2).
@@ -338,6 +374,20 @@ class SampledSummary(ContentSummary):
     def sample_frequency(self, word: str) -> int:
         """s_k: number of sample documents containing ``word``."""
         return self.sample_df.get(word, 0)
+
+    def rehomed(
+        self, vocab: Vocabulary, base: ContentSummary | None = None
+    ) -> "SampledSummary":
+        return SampledSummary(
+            size=self.size,
+            df_probs=self.regime_arrays("df", vocab),
+            tf_probs=self.regime_arrays("tf", vocab),
+            sample_size=self.sample_size,
+            sample_df=self.sample_df,
+            alpha=self.alpha,
+            sample_tf=self.sample_tf,
+            vocab=vocab,
+        )
 
     def _aligned_counts(self, regime: str) -> np.ndarray:
         """Sample counts aligned to the regime's id array (0 where absent)."""

@@ -10,7 +10,9 @@ this file.  The strict ``score > floor`` selection rule depends on that.
 
 Covered: all three scorers (bGlOSS, CORI, LM) across plain sampled,
 universal shrunk, and adaptive mixed summary choices; empty queries;
-out-of-vocabulary terms; plus a hypothesis property over random queries.
+out-of-vocabulary terms; summaries on their own vocabularies; plus a
+hypothesis property over random queries. The reference is
+``choose_summaries`` + ``rank_databases`` on freshly prepared scorers.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import choose_summaries
 from repro.selection.base import rank_databases
 from repro.selection.batch import (
     AdaptiveBatchEngine,
@@ -26,7 +29,7 @@ from repro.selection.batch import (
     UnsupportedSummarySet,
     batch_floor_map,
 )
-from repro.selection.metasearcher import Metasearcher
+from repro.selection.metasearcher import Metasearcher, SelectionOutcome
 from tests.test_columnar_equivalence import _synthetic_cell
 
 ALGORITHMS = ("bgloss", "cori", "lm")
@@ -49,17 +52,38 @@ def cell():
     return _synthetic_cell(shared_vocab=True)
 
 
+def serial_select(searcher, query, algorithm, strategy, k):
+    """The serial reference outcome: ``choose_summaries`` and
+    ``rank_databases`` on freshly prepared scorers, over the
+    metasearcher's own summaries (no engines, matrices or caches)."""
+    sampled = searcher.sampled_summaries
+    decisions = None
+    if strategy == "plain":
+        summaries = sampled
+    elif strategy == "universal":
+        summaries = searcher.shrunk_summaries
+    else:
+        decider = searcher.make_scorer(algorithm)
+        decider.prepare(sampled)
+        summaries, decisions = choose_summaries(
+            decider,
+            query,
+            dict(sampled),
+            dict(searcher.shrunk_summaries),
+            searcher.adaptive_config,
+        )
+    ranking = rank_databases(searcher.make_scorer(algorithm), query, summaries)
+    return SelectionOutcome(
+        names=[entry.name for entry in ranking if entry.selected][:k],
+        scores={entry.name: entry.score for entry in ranking},
+        decisions=decisions,
+    )
+
+
 @pytest.fixture(scope="module")
-def pair(cell):
-    """Two metasearchers over the same cell: batched and forced-serial."""
+def searcher(cell):
     hierarchy, summaries, classifications = cell
-    batched = Metasearcher(hierarchy, summaries, classifications)
-    serial = Metasearcher(hierarchy, summaries, classifications)
-    serial.use_batched = False
-    # Share the shrunk summaries so both paths score the same objects
-    # (the EM is deterministic, but sharing removes any doubt).
-    serial.set_shrunk_summaries(batched.shrunk_summaries)
-    return batched, serial
+    return Metasearcher(hierarchy, summaries, classifications)
 
 
 def assert_outcomes_identical(batched_outcome, serial_outcome):
@@ -75,46 +99,37 @@ def assert_outcomes_identical(batched_outcome, serial_outcome):
 class TestMetasearcherBitIdentity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_select_identical(self, pair, algorithm, strategy):
-        batched, serial = pair
+    def test_select_identical(self, searcher, algorithm, strategy):
         for query in QUERIES:
-            b = batched.select(
+            b = searcher.select(
                 query, algorithm=algorithm, strategy=strategy, k=5
             )
-            s = serial.select(
-                query, algorithm=algorithm, strategy=strategy, k=5
-            )
+            s = serial_select(searcher, query, algorithm, strategy, 5)
             assert_outcomes_identical(b, s)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_adaptive_decisions_identical(self, pair, algorithm):
-        batched, serial = pair
+    def test_adaptive_decisions_identical(self, searcher, algorithm):
         for query in QUERIES:
-            b = batched.select(
+            b = searcher.select(
                 query, algorithm=algorithm, strategy="shrinkage", k=5
             )
-            s = serial.select(
-                query, algorithm=algorithm, strategy="shrinkage", k=5
-            )
+            s = serial_select(searcher, query, algorithm, "shrinkage", 5)
             assert b.decisions is not None and s.decisions is not None
-            assert {
-                name: d.use_shrinkage for name, d in b.decisions.items()
-            } == {name: d.use_shrinkage for name, d in s.decisions.items()}
+            assert b.decisions == s.decisions
 
 
 class TestEngineVsRankDatabases:
     @pytest.mark.parametrize("regime", ["plain", "universal"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_fixed_set_identical(self, pair, algorithm, regime):
-        batched, _ = pair
+    def test_fixed_set_identical(self, searcher, algorithm, regime):
         summaries = (
-            batched.sampled_summaries
+            searcher.sampled_summaries
             if regime == "plain"
-            else batched.shrunk_summaries
+            else searcher.shrunk_summaries
         )
-        scorer = batched.make_scorer(algorithm)
+        scorer = searcher.make_scorer(algorithm)
         scorer.prepare(summaries)
-        engine = BatchSelectionEngine(scorer, summaries, prepare=False)
+        engine = BatchSelectionEngine(scorer, SummarySetMatrix(summaries))
         for query in QUERIES:
             serial = rank_databases(scorer, query, summaries, prepare=False)
             fast = engine.rank(query)
@@ -124,10 +139,9 @@ class TestEngineVsRankDatabases:
                 assert fast_entry.selected == serial_entry.selected
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_floor_map_identical(self, pair, algorithm):
-        batched, _ = pair
-        summaries = batched.sampled_summaries
-        scorer = batched.make_scorer(algorithm)
+    def test_floor_map_identical(self, searcher, algorithm):
+        summaries = searcher.sampled_summaries
+        scorer = searcher.make_scorer(algorithm)
         scorer.prepare(summaries)
         for query in QUERIES:
             floors = batch_floor_map(scorer, query, summaries)
@@ -136,10 +150,9 @@ class TestEngineVsRankDatabases:
                 assert floors[name] == scorer.floor_score(query, summary)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_mixed_set_identical(self, pair, algorithm):
-        batched, _ = pair
-        sampled = batched.sampled_summaries
-        shrunk = batched.shrunk_summaries
+    def test_mixed_set_identical(self, searcher, algorithm):
+        sampled = searcher.sampled_summaries
+        shrunk = searcher.shrunk_summaries
         names = sorted(sampled)
         masks = [
             np.zeros(len(names), dtype=bool),
@@ -154,9 +167,13 @@ class TestEngineVsRankDatabases:
                 name: (shrunk[name] if chosen_by_name[name] else summary)
                 for name, summary in sampled.items()
             }
-            engine_scorer = batched.make_scorer(algorithm)
-            engine = AdaptiveBatchEngine(engine_scorer, sampled, shrunk)
-            serial_scorer = batched.make_scorer(algorithm)
+            engine_scorer = searcher.make_scorer(algorithm)
+            engine = AdaptiveBatchEngine(
+                engine_scorer,
+                SummarySetMatrix(sampled),
+                SummarySetMatrix(shrunk),
+            )
+            serial_scorer = searcher.make_scorer(algorithm)
             for query in QUERIES:
                 serial = rank_databases(serial_scorer, query, chosen)
                 fast = engine.rank(query, mask)
@@ -172,32 +189,37 @@ class TestUnsupportedSets:
         with pytest.raises(UnsupportedSummarySet):
             SummarySetMatrix(summaries)
 
-    def test_floor_map_returns_none(self, pair):
-        batched, _ = pair
+    def test_floor_map_returns_none(self, searcher):
         _, summaries, _ = _synthetic_cell(shared_vocab=False)
-        scorer = batched.make_scorer("cori")
+        scorer = searcher.make_scorer("cori")
         scorer.prepare(summaries)
         assert batch_floor_map(scorer, ["gen000"], summaries) is None
 
-    def test_metasearcher_falls_back_to_serial(self):
+    def test_metasearcher_rehomes_own_vocab_sets(self):
+        # Per-summary vocabularies are re-homed onto the cell vocabulary
+        # on install, so every set stacks and no strategy falls back.
         hierarchy, summaries, classifications = _synthetic_cell(
             shared_vocab=False
         )
         own_vocab = Metasearcher(hierarchy, summaries, classifications)
-        serial = Metasearcher(hierarchy, summaries, classifications)
-        serial.use_batched = False
-        serial.set_shrunk_summaries(own_vocab.shrunk_summaries)
+        vocab = own_vocab.builder.vocab
+        assert all(
+            summary.vocab is vocab
+            for summary in own_vocab.sampled_summaries.values()
+        )
         for algorithm in ALGORITHMS:
             for strategy in STRATEGIES:
-                b = own_vocab.select(
-                    ["gen000", "gen004"], algorithm=algorithm,
-                    strategy=strategy, k=4,
-                )
-                s = serial.select(
-                    ["gen000", "gen004"], algorithm=algorithm,
-                    strategy=strategy, k=4,
-                )
-                assert_outcomes_identical(b, s)
+                for prune in (False, True):
+                    b = own_vocab.select(
+                        ["gen000", "gen004"], algorithm=algorithm,
+                        strategy=strategy, k=4, prune=prune,
+                    )
+                    s = serial_select(
+                        own_vocab, ["gen000", "gen004"], algorithm, strategy, 4
+                    )
+                    assert b.names == s.names
+                    for name, score in b.scores.items():
+                        assert score == s.scores[name]
 
 
 def _word_pool(summaries):
@@ -208,9 +230,8 @@ def _word_pool(summaries):
 class TestRandomQueriesProperty:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_random_query_identical(self, pair, data):
-        batched, serial = pair
-        pool = _word_pool(batched.sampled_summaries)
+    def test_random_query_identical(self, searcher, data):
+        pool = _word_pool(searcher.sampled_summaries)
         term = st.one_of(
             st.sampled_from(pool),
             st.text(
@@ -220,6 +241,6 @@ class TestRandomQueriesProperty:
         query = data.draw(st.lists(term, min_size=0, max_size=5))
         algorithm = data.draw(st.sampled_from(ALGORITHMS))
         strategy = data.draw(st.sampled_from(STRATEGIES))
-        b = batched.select(query, algorithm=algorithm, strategy=strategy, k=4)
-        s = serial.select(query, algorithm=algorithm, strategy=strategy, k=4)
+        b = searcher.select(query, algorithm=algorithm, strategy=strategy, k=4)
+        s = serial_select(searcher, query, algorithm, strategy, 4)
         assert_outcomes_identical(b, s)

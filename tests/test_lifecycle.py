@@ -16,8 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.evaluation import harness
 from repro.evaluation.instrument import get_instrumentation
 from repro.evaluation.store import ArtifactStore
+from repro.selection import metasearcher as metasearcher_module
 from repro.selection.metasearcher import Metasearcher
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.lifecycle import (
@@ -34,6 +36,7 @@ from repro.serving.service import (
     parse_update_request,
 )
 from repro.summaries.summary import SampledSummary
+from tests.test_batch_equivalence import serial_select
 from tests.test_columnar_equivalence import _synthetic_cell
 
 try:
@@ -208,9 +211,8 @@ class TestBitIdentity:
         )
         metasearcher.select(["gen000"], algorithm="cori", strategy="plain")
         reused = [
-            engine.matrix.reused_rows
-            for engine in metasearcher._engines.values()
-            if engine is not None
+            matrix.reused_rows
+            for matrix in metasearcher.engine_matrices().values()
         ]
         assert reused and max(reused) > 0
         _assert_verified(metasearcher)
@@ -297,6 +299,181 @@ if HAVE_HYPOTHESIS:
             metasearcher, info = updater.apply(ops)
             assert info["databases"] == len(present)
             _assert_verified(metasearcher)
+
+
+def _cell_state(metasearcher: Metasearcher) -> list:
+    """Fold order plus every category aggregate, as comparable values."""
+    builder = metasearcher.builder
+    state: list = [list(builder.database_summaries())]
+    for node in metasearcher.hierarchy.nodes():
+        summary = builder.category_summary(node.path)
+        state.append((node.path, builder.databases_under(node.path), summary.size))
+        for regime in ("df", "tf"):
+            ids, values = summary.regime_arrays(regime)
+            state.append((ids.tolist(), values.tolist()))
+    return state
+
+
+class TestRestorePosition:
+    def test_remove_then_restore_as_two_updates(self):
+        original = _metasearcher()
+        updater = CellUpdater(original)
+        updater.apply([{"op": "remove", "name": "db03"}])
+        restored, _ = updater.apply([{"op": "restore", "name": "db03"}])
+        assert _cell_state(restored) == _cell_state(original)
+        for name, shrunk in restored.shrunk_summaries.items():
+            assert shrunk.lambdas == original.shrunk_summaries[name].lambdas
+
+    def test_remove_then_restore_in_one_batch(self):
+        original = _metasearcher()
+        restored, _ = CellUpdater(original).apply(
+            [
+                {"op": "remove", "name": "db04"},
+                {"op": "restore", "name": "db04"},
+            ]
+        )
+        assert _cell_state(restored) == _cell_state(original)
+
+    def test_interleaved_restores_keep_the_order(self):
+        original = _metasearcher()
+        updater = CellUpdater(original)
+        updater.apply(
+            [
+                {"op": "remove", "name": "db02"},
+                {"op": "remove", "name": "db03"},
+            ]
+        )
+        restored, _ = updater.apply(
+            [
+                {"op": "restore", "name": "db03"},
+                {"op": "restore", "name": "db02"},
+            ]
+        )
+        assert _cell_state(restored) == _cell_state(original)
+        _assert_verified(restored)
+
+
+class TestNoOpReplace:
+    def test_replace_with_own_payload_keeps_the_cell(self):
+        service = _make_service(strategies=("plain", "universal", "shrinkage"))
+        requests = [
+            (["gen000", "gen001"], algorithm, strategy)
+            for algorithm in ("bgloss", "cori", "lm")
+            for strategy in ("plain", "universal", "shrinkage")
+        ]
+        before = [
+            service.select(terms, algorithm=algorithm, strategy=strategy)
+            for terms, algorithm, strategy in requests
+        ]
+        cached = len(service.snapshot.cache)
+        summary = service.metasearcher.sampled_summaries["db05"]
+        result = service.apply_update(
+            [{"op": "replace", "name": "db05", "summary": summary_payload(summary)}]
+        )
+        assert result["em_recomputed"] == 0
+        assert result["touched_databases"] == []
+        assert result["response_cache_retained"] == cached
+        assert service.metasearcher.sampled_summaries["db05"] is summary
+        for (terms, algorithm, strategy), first in zip(requests, before):
+            again = service.select(terms, algorithm=algorithm, strategy=strategy)
+            assert again["cached"] is True
+            assert again["ranking"] == first["ranking"]
+            assert again["selected"] == first["selected"]
+
+    def test_changed_sample_statistics_still_replace(self):
+        original = _metasearcher()
+        updater = CellUpdater(original)
+        current = original.sampled_summaries["db05"]
+        changed = SampledSummary(
+            size=current.size,
+            df_probs=current.regime_arrays("df"),
+            tf_probs=current.regime_arrays("tf"),
+            sample_size=current.sample_size,
+            sample_df=current.sample_df,
+            alpha=current.alpha + 0.01,
+            sample_tf=current.sample_tf,
+            vocab=current.vocab,
+        )
+        metasearcher, info = updater.apply(
+            [{"op": "replace", "name": "db05", "summary": summary_payload(changed)}]
+        )
+        assert info["touched_databases"] == ["db05"]
+        assert metasearcher.sampled_summaries["db05"].alpha == changed.alpha
+
+
+class TestStoreLoadedCell:
+    def test_every_engine_builds_and_no_serial_fallback(
+        self, micro_scale, micro_store, monkeypatch
+    ):
+        harness.clear_caches()
+        harness.configure(cache_dir=micro_store, jobs=1)
+        cell = harness.get_cell("trec4", "qbs", False, scale=micro_scale)
+        searcher = cell.metasearcher
+        assert searcher.has_shrunk_summaries()  # loaded from the store
+        vocab = searcher.builder.vocab
+        for name, shrunk in searcher.shrunk_summaries.items():
+            assert shrunk.vocab is vocab
+            assert shrunk.base is searcher.sampled_summaries[name]
+
+        def serial_fallback(*args, **kwargs):
+            raise AssertionError("Metasearcher ranked through rank_databases")
+
+        monkeypatch.setattr(metasearcher_module, "rank_databases", serial_fallback)
+        searcher.ensure_engines()
+        assert set(searcher.engine_scorers()) == {
+            (algorithm, strategy)
+            for algorithm in ("bgloss", "cori", "lm")
+            for strategy in ("plain", "universal", "shrinkage")
+        }
+        words = list(vocab.words_of(searcher.builder.global_ids()))
+        query = [words[3], words[len(words) // 2], "store-oov-term"]
+        for algorithm in ("bgloss", "cori", "lm"):
+            for strategy in ("plain", "universal", "shrinkage", "hierarchical"):
+                for prune in (False, True):
+                    outcome = searcher.select(
+                        query, algorithm=algorithm, strategy=strategy,
+                        k=3, prune=prune,
+                    )
+                    if strategy == "hierarchical":
+                        continue
+                    reference = serial_select(
+                        searcher, query, algorithm, strategy, 3
+                    )
+                    assert outcome.names == reference.names, (
+                        algorithm, strategy, prune
+                    )
+                    for name, score in outcome.scores.items():
+                        assert score == reference.scores[name], (
+                            algorithm, strategy, name
+                        )
+
+    def test_first_swap_reruns_em_only_for_the_touched_database(
+        self, micro_scale, micro_store
+    ):
+        harness.clear_caches()
+        harness.configure(cache_dir=micro_store, jobs=1)
+        cell = harness.get_cell("trec4", "qbs", False, scale=micro_scale)
+        searcher = cell.metasearcher
+        name = list(searcher.sampled_summaries)[1]
+        current = searcher.sampled_summaries[name]
+        # Same probabilities, different Mandelbrot fit: the aggregates
+        # refold to the same bits, so only this database's R(D) changes.
+        changed = SampledSummary(
+            size=current.size,
+            df_probs=current.regime_arrays("df"),
+            tf_probs=current.regime_arrays("tf"),
+            sample_size=current.sample_size,
+            sample_df=current.sample_df,
+            alpha=(current.alpha or -1.0) + 0.01,
+            sample_tf=current.sample_tf,
+            vocab=current.vocab,
+        )
+        _, info = CellUpdater(searcher).apply(
+            [{"op": "replace", "name": name, "summary": summary_payload(changed)}]
+        )
+        assert info["touched_databases"] == [name]
+        assert info["em_recomputed"] == 1
+        assert info["shrunk_reused"] == len(searcher.sampled_summaries) - 1
 
 
 class TestLifecycleStore:

@@ -100,9 +100,9 @@ class TestSelect:
 
     def test_prepared_scorer_reuse(self, metasearcher, query):
         metasearcher.select(query, "cori", "plain", k=2)
-        first = metasearcher._prepared_scorers[("cori", "plain")]
+        first = metasearcher.engine_scorers()[("cori", "plain")]
         metasearcher.select(query, "cori", "plain", k=2)
-        assert metasearcher._prepared_scorers[("cori", "plain")] is first
+        assert metasearcher.engine_scorers()[("cori", "plain")] is first
 
     def test_determinism(self, metasearcher, query):
         a = metasearcher.select(query, "lm", "shrinkage", k=5)

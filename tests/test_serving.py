@@ -282,12 +282,8 @@ class TestSelectionService:
             if key.startswith("query_ids."):
                 assert size <= QUERY_IDS_CACHE_SIZE, (key, size)
         # The batched matrices' resolved-id caches are bounded too.
-        for engine in service.metasearcher._engines.values():
-            if engine is not None:
-                assert (
-                    len(engine.matrix._ids_cache)
-                    <= engine.matrix._ids_cache.maxsize
-                )
+        for matrix in service.metasearcher.engine_matrices().values():
+            assert len(matrix._ids_cache) <= matrix._ids_cache.maxsize
         assert service.stats.requests == len(queries)
 
     def test_concurrent_in_process_requests(self, service):

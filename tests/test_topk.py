@@ -21,11 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.category import CategorySummaryBuilder
 from repro.corpus.testbeds import build_summary_universe
 from repro.evaluation import harness
-from repro.selection.batch import ranked_from_arrays
+from repro.selection.base import rank_databases
+from repro.selection.batch import GroupIndex, group_labels, ranked_from_arrays
+from repro.selection.hierarchical import HierarchicalSelector
 from repro.selection.metasearcher import Metasearcher
-from repro.selection.topk import GroupIndex, group_labels
 from tests.test_columnar_equivalence import _synthetic_cell
 
 ALGORITHMS = ("bgloss", "cori", "lm")
@@ -52,6 +54,21 @@ def cell():
 def searcher(cell):
     hierarchy, summaries, classifications = cell
     return Metasearcher(hierarchy, summaries, classifications)
+
+
+def plain_matrix(searcher):
+    searcher.ensure_engines({"set:plain"})
+    return searcher.engine_matrices()["set:plain"]
+
+
+class SerialHierarchicalSelector(HierarchicalSelector):
+    """The hierarchical descent with every database ranking serial."""
+
+    def _rank_databases(self, names, query_terms, k):
+        ranked = rank_databases(
+            self.scorer, query_terms, {name: self.summaries[name] for name in names}
+        )
+        return [entry.name for entry in ranked if entry.selected][:k]
 
 
 def assert_pruned_matches_full(pruned, full, context=""):
@@ -137,7 +154,7 @@ class TestRankedFromArraysK:
 
 class TestGroupIndex:
     def test_colmax_matches_dense_maxima(self, searcher):
-        matrix = searcher._set_matrix("plain")
+        matrix = plain_matrix(searcher)
         labels = group_labels(matrix.names, searcher.classifications)
         index = GroupIndex(matrix, labels)
         assert len(index) >= 2  # the synthetic cell spans several leaves
@@ -147,14 +164,14 @@ class TestGroupIndex:
             np.testing.assert_array_equal(colmax[g], dense[rows].max(axis=0))
 
     def test_invalid_ids_bounded_by_defaults(self, searcher):
-        matrix = searcher._set_matrix("plain")
+        matrix = plain_matrix(searcher)
         labels = group_labels(matrix.names, searcher.classifications)
         index = GroupIndex(matrix, labels)
         out = index.colmax_at(np.array([-1]), "df")
         np.testing.assert_array_equal(out[:, 0], index.defaults_max("df"))
 
     def test_label_count_mismatch_rejected(self, searcher):
-        matrix = searcher._set_matrix("plain")
+        matrix = plain_matrix(searcher)
         with pytest.raises(ValueError):
             GroupIndex(matrix, [("Root",)])
 
@@ -164,36 +181,38 @@ class TestHierarchicalBatched:
     def test_subtree_engines_bit_identical_to_serial(self, cell, algorithm):
         hierarchy, summaries, classifications = cell
         batched = Metasearcher(hierarchy, summaries, classifications)
-        serial = Metasearcher(hierarchy, summaries, classifications)
-        batched_selector = batched._hierarchical_selector(algorithm)
-        serial_selector = serial._hierarchical_selector(algorithm)
-        serial_selector._subtree_engine = lambda path, summaries: None
+        serial = SerialHierarchicalSelector(
+            batched.make_scorer(algorithm),
+            CategorySummaryBuilder(hierarchy, summaries, classifications),
+            summaries,
+        )
         for query in QUERIES:
             for k in (1, 3, 8):
-                assert batched_selector.select(query, k) == (
-                    serial_selector.select(query, k)
-                ), f"{algorithm} {query} k={k}"
-        # The batched side must actually have engaged its engines.
-        assert any(
-            engine is not None
-            for engine in batched_selector._engines.values()
-        )
+                outcome = batched.select(
+                    query, algorithm=algorithm, strategy="hierarchical", k=k
+                )
+                assert outcome.names == serial.select(query, k), (
+                    f"{algorithm} {query} k={k}"
+                )
 
-    def test_dict_vocab_subtrees_fall_back_to_serial(self):
+    def test_dict_vocab_subtrees_match_serial(self):
+        # Summaries on their own vocabularies are re-homed onto the
+        # builder's, so their subtrees stack like any other.
         hierarchy, summaries, classifications = _synthetic_cell(
             shared_vocab=False
         )
         own_vocab = Metasearcher(hierarchy, summaries, classifications)
-        forced = Metasearcher(hierarchy, summaries, classifications)
-        selector = own_vocab._hierarchical_selector("cori")
-        forced_selector = forced._hierarchical_selector("cori")
-        forced_selector._subtree_engine = lambda path, summaries: None
+        serial = SerialHierarchicalSelector(
+            own_vocab.make_scorer("cori"),
+            CategorySummaryBuilder(hierarchy, summaries, classifications),
+            summaries,
+        )
         query = ["gen000", "gen004"]
-        assert selector.select(query, 4) == forced_selector.select(query, 4)
-        assert selector._engines  # visited subtrees were cached ...
-        assert all(
-            engine is None for engine in selector._engines.values()
-        )  # ... as serial fallbacks
+        outcome = own_vocab.select(
+            query, algorithm="cori", strategy="hierarchical", k=4
+        )
+        assert outcome.names == serial.select(query, 4)
+        assert len(plain_matrix(own_vocab)) == len(summaries)
 
 
 class TestSummaryUniverse:
@@ -264,8 +283,9 @@ class TestSummaryUniverse:
                 )
                 assert pruned.candidates_scored is not None
                 assert pruned.candidates_scored < len(summaries)
-        # Mixed supported + OOV terms must stay bit-identical even though
-        # the zeroed word defeats product-form pruning entirely.
+        # Mixed supported + OOV terms must stay bit-identical. The unseen
+        # word zeroes every bGlOSS and LM bound down to the floor, so those
+        # rows join the known-floor pool without being scored at all.
         query = [supported[7], "oov-term"]
         for algorithm in ALGORITHMS:
             full = searcher.select(
@@ -278,6 +298,8 @@ class TestSummaryUniverse:
             assert_pruned_matches_full(
                 pruned, full, f"universe {algorithm} {query}"
             )
+            if algorithm in ("bgloss", "lm"):
+                assert pruned.candidates_scored == 0, algorithm
 
 
 class TestHarnessUniverse:
