@@ -121,17 +121,17 @@ class ScoreDistributionModel:
         support, log_support, log_ratio, log_miss, log_widths = self._grid(
             database_size
         )
-        log_weights = (
-            self.gamma * log_support
-            + observed * log_ratio
-            + (sample_size - observed) * log_miss
-        )
-        log_weights[~np.isfinite(log_weights)] = -np.inf
+        log_weights = self.gamma * log_support + observed * log_ratio
+        if observed < sample_size:
+            # The miss term only exists when some sampled document lacks
+            # the word; a word in every sampled document (s = |S|) has
+            # none, and 0 * log(0) must not turn d = |D| into NaN.
+            log_weights += (sample_size - observed) * log_miss
         if log_widths is not None:
             log_weights += log_widths
         if not np.any(np.isfinite(log_weights)):
-            # Degenerate (e.g. s_k = |S| and d = |D| is the only option):
-            # put all mass on the largest support value.
+            # Degenerate (e.g. |D| = 1 while some sampled document lacks
+            # the word): put all mass on the largest support value.
             probabilities = np.zeros_like(support, dtype=float)
             probabilities[-1] = 1.0
             return support, probabilities

@@ -179,23 +179,41 @@ SIZE_SEED_STREAM = 2003
 
 @dataclass
 class ExperimentCell:
-    """One (dataset, sampler, frequency-estimation) cell of the matrix."""
+    """One (dataset, sampler, frequency-estimation) cell of the matrix.
+
+    A cell holds what selection reads: the sampled summaries, their
+    classifications and the metasearcher over them (which carries the
+    shrunk summaries R(D)). The documents are read only where a sample is
+    drawn or a result is judged, so :attr:`testbed` and
+    :attr:`exact_summaries` load on first access, through the same caches
+    as :func:`get_testbed` and :func:`get_exact_summaries`.
+    """
 
     dataset: str
     sampler: str
     frequency_estimation: bool
     scale: str
-    testbed: Testbed
     summaries: dict[str, SampledSummary]
     classifications: dict[str, tuple[str, ...]]
-    exact_summaries: dict[str, ContentSummary]
     metasearcher: Metasearcher = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.metasearcher is None:
+            # Every testbed is built on the default hierarchy, so the
+            # cell needs no testbed to know its categories.
             self.metasearcher = Metasearcher(
-                self.testbed.hierarchy, self.summaries, self.classifications
+                default_hierarchy(), self.summaries, self.classifications
             )
+
+    @property
+    def testbed(self) -> Testbed:
+        """The cell's document testbed (loaded on first access)."""
+        return get_testbed(self.dataset, self.scale)
+
+    @property
+    def exact_summaries(self) -> dict[str, ContentSummary]:
+        """Ground-truth S(D) per database (built on first access)."""
+        return get_exact_summaries(self.dataset, self.scale)
 
 
 # -- runtime configuration (artifact store + parallelism) -------------------------
@@ -428,6 +446,13 @@ def _build_testbed(dataset: str, scale: str) -> Testbed:
     )
 
 
+def _require_dataset(dataset: str) -> None:
+    if dataset not in DATASETS:
+        raise ValueError(
+            f"dataset must be one of {DATASETS} or 'universe-<N>'"
+        )
+
+
 def get_testbed(dataset: str, scale: str = "bench") -> Testbed:
     """The (cached) testbed for a dataset at the given scale."""
     if universe_size(dataset) is not None:
@@ -441,10 +466,7 @@ def get_testbed(dataset: str, scale: str = "bench") -> Testbed:
             corpus_model = CorpusModel(hierarchy, profile.corpus_config)
             _TESTBEDS[key] = Testbed(dataset, hierarchy, corpus_model, [])
         return _TESTBEDS[key]
-    if dataset not in DATASETS:
-        raise ValueError(
-            f"dataset must be one of {DATASETS} or 'universe-<N>'"
-        )
+    _require_dataset(dataset)
     profile = SCALES[scale]
     key = (dataset, scale)
     if key in _TESTBEDS:
@@ -680,7 +702,12 @@ def get_cell(
     frequency_estimation: bool = False,
     scale: str = "bench",
 ) -> ExperimentCell:
-    """Build (or fetch) one cell of the experimental matrix."""
+    """Build (or fetch) one cell of the experimental matrix.
+
+    On a warm store the cell comes from its ``summaries`` and ``shrunk``
+    artifacts alone: the document testbed is not loaded until something
+    reads :attr:`ExperimentCell.testbed` (or the summaries must be built).
+    """
     key = (dataset, sampler, frequency_estimation, scale)
     if key in _CELLS:
         return _CELLS[key]
@@ -708,15 +735,13 @@ def get_cell(
             sampler=sampler,
             frequency_estimation=frequency_estimation,
             scale=scale,
-            testbed=testbed,
             summaries=summaries,
             classifications=classifications,
-            exact_summaries={},
         )
         _CELLS[key] = cell
         return cell
 
-    testbed = get_testbed(dataset, scale)
+    _require_dataset(dataset)
     store = _CONFIG.store
 
     summaries: dict[str, SampledSummary] | None = None
@@ -751,10 +776,8 @@ def get_cell(
         sampler=sampler,
         frequency_estimation=frequency_estimation,
         scale=scale,
-        testbed=testbed,
         summaries=summaries,
         classifications=classifications,
-        exact_summaries=get_exact_summaries(dataset, scale),
     )
     if store:
         shrunk = store.load_artifact(

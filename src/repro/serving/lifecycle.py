@@ -129,10 +129,11 @@ def resample_database(
     Mirrors :func:`repro.evaluation.harness.sample_one_database` exactly,
     except the per-database RNG streams are extended with ``seed`` —
     ``[stream, index, seed]`` instead of ``[stream, index]`` — so every
-    seed yields a distinct but fully deterministic sample, and ``seed``
-    alone (journaled) reproduces it on replay. The database keeps its
-    current classification: resampling refreshes the content summary, it
-    does not move the database in the hierarchy.
+    seed yields a distinct but fully deterministic sample. The database
+    keeps its current classification: resampling refreshes the content
+    summary, it does not move the database in the hierarchy. This is the
+    one serving path that reads documents: it loads the testbed on first
+    use, and :class:`CellUpdater` journals its result as a ``replace``.
     """
     from repro.evaluation import harness
     from repro.summaries.focused import FPSConfig, FPSSampler
@@ -261,20 +262,33 @@ class CellUpdater:
 
     # -- op application --------------------------------------------------------
 
-    def _materialize(self, op: dict, working: CategorySummaryBuilder):
-        """The re-homed summary an add/replace/resample op introduces."""
-        if op["op"] == "resample":
-            if self.harness_context is None:
-                raise ValueError(
-                    "resample requires a harness-backed service "
-                    "(this cell was not built through the harness)"
-                )
-            fresh = resample_database(
-                *self.harness_context, op["name"], op["seed"]
+    def _resolve(self, op: dict) -> dict:
+        """The journal form of one canonical op.
+
+        A ``resample`` is drawn here, once, and journaled as the
+        ``replace`` it amounts to, carrying the drawn summary's payload.
+        Only this process reads the documents: pool workers replaying a
+        flip suffix, a restart replaying the journal, and lifecycle
+        artifact keys all see a plain ``replace``.
+        """
+        if op["op"] != "resample":
+            return op
+        if self.harness_context is None:
+            raise ValueError(
+                "resample requires a harness-backed service "
+                "(this cell was not built through the harness)"
             )
-        else:
-            fresh = summary_from_dict(op["summary"])
-        return rehome_summary(fresh, working.vocab)
+        fresh = resample_database(*self.harness_context, op["name"], op["seed"])
+        return {
+            "op": "replace",
+            "name": op["name"],
+            "summary": summary_payload(fresh),
+        }
+
+    @staticmethod
+    def _materialize(op: dict, working: CategorySummaryBuilder):
+        """The re-homed summary an add/replace op introduces."""
+        return rehome_summary(summary_from_dict(op["summary"]), working.vocab)
 
     def apply(
         self,
@@ -292,7 +306,7 @@ class CellUpdater:
         """
         from repro.evaluation.instrument import count, span
 
-        ops = [canonical_op(op) for op in ops]
+        ops = [self._resolve(canonical_op(op)) for op in ops]
         if not ops:
             raise ValueError("update requires at least one operation")
 
@@ -343,7 +357,7 @@ class CellUpdater:
                     changed |= working.add_database(
                         name, summary, tuple(op["path"])
                     )
-                else:  # replace / resample
+                else:  # replace (a resample arrives resolved to one)
                     summary = self._materialize(op, working)
                     current = working.database_summaries().get(name)
                     # A summary equal field for field to the current one

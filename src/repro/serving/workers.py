@@ -36,7 +36,10 @@ Epoch-flip protocol (snapshot hot swaps with workers attached):
    matrices are too.
 4. Each worker replays the suffix, adopts the new segment's views
    (zero-copy, digest-verified), publishes its new snapshot under
-   exactly epoch ``E``, and acks.
+   exactly epoch ``E``, and acks with the count of response-cache
+   entries it carried across. The dispatcher sends every flip before it
+   reads any ack, so the workers catch up concurrently, and it waits
+   for all acks against one shared deadline.
 5. Only after every live worker has acked — the drain barrier — does the
    dispatcher unlink the old segment and answer the update request. A
    client that has seen the update response can therefore never observe
@@ -319,7 +322,12 @@ class _WorkerRuntime:
                 return
 
     def flip(self, epoch: int, ops: list, manifest: dict) -> dict:
-        """Catch up to the dispatcher's epoch: replay ops, adopt segment."""
+        """Catch up to the dispatcher's epoch: replay ops, adopt segment.
+
+        The ack carries how many of this worker's response-cache entries
+        the swap kept (``response_cache_retained``): the workers answer
+        every select, so their caches are the pool's.
+        """
         adopted: dict = {}
 
         def materialize(metasearcher, version):
@@ -327,21 +335,26 @@ class _WorkerRuntime:
             return manifest
 
         if ops:
-            self.service.apply_update(
+            result = self.service.apply_update(
                 ops, verify=False, materialize=materialize, version=epoch
             )
+            retained = int(result["response_cache_retained"])
             previous = self.segment
             self.segment = adopted.get("segment")
             if previous is not None:
                 previous.close()
-        # An empty suffix means this worker is already at the target
-        # epoch (it was respawned from post-update state): ack as-is.
+        else:
+            # An empty suffix means this worker is already at the target
+            # epoch (it was respawned from post-update state): ack as-is,
+            # its cache untouched.
+            retained = len(self.service.snapshot.cache)
         self.journal_length = len(self.service.journal)
         return {
             "ack": epoch,
             "pid": os.getpid(),
             "epoch": self.service.snapshot.version,
             "journal_length": self.journal_length,
+            "response_cache_retained": retained,
         }
 
     def control_loop(self) -> None:
@@ -840,9 +853,13 @@ class WorkerPool:
         """Apply an update once, then flip every worker to the new epoch.
 
         Returns the dispatcher's update result annotated with the flip
-        outcome. Only returns after the drain barrier: every live worker
-        has acknowledged the new epoch, and the previous segment has been
-        unlinked.
+        outcome. ``response_cache_retained`` is the sum of the entries
+        each worker's cache kept across the swap, and
+        ``worker_cache_retained`` maps each worker's pid to its own
+        count: the workers answer every select, so the dispatcher's own
+        cache stays empty. Only returns after the drain barrier: every
+        live worker has acknowledged the new epoch, and the previous
+        segment has been unlinked.
         """
         from repro.evaluation.instrument import count, span
 
@@ -867,7 +884,7 @@ class WorkerPool:
             journal = self.service.journal
 
             with span("workers.flip", epoch=epoch):
-                flipped = self._broadcast_flip(epoch, journal, manifest)
+                retained = self._broadcast_flip(epoch, journal, manifest)
 
             previous_segment = self._segment
             self._segment = packed["segment"]
@@ -878,46 +895,65 @@ class WorkerPool:
             count("workers.flips")
             result["epoch"] = epoch
             result["segment"] = manifest["segment"]
-            result["workers_flipped"] = flipped
+            result["workers_flipped"] = len(retained)
             result["workers"] = len(self._workers)
+            result["response_cache_retained"] = sum(retained.values())
+            result["worker_cache_retained"] = {
+                str(pid): kept for pid, kept in sorted(retained.items())
+            }
             return result
 
     def _broadcast_flip(
         self, epoch: int, journal: list, manifest: dict
-    ) -> int:
-        flipped = 0
+    ) -> dict[int, int]:
+        """Flip every worker to ``epoch``; the flipped workers' retained
+        response-cache counts, by pid.
+
+        Every worker gets its flip before any ack is read, so the workers
+        catch up concurrently. The acks are collected against one shared
+        :data:`FLIP_ACK_TIMEOUT` deadline, and the workers that failed
+        are replaced last.
+        """
+        waiting: dict[int, _WorkerHandle] = {}
+        failed: list[int] = []
         for pid, handle in list(self._workers.items()):
-            suffix = journal[handle.journal_length:]
             try:
                 handle.send(
                     {
                         "cmd": "flip",
                         "epoch": epoch,
-                        "ops": suffix,
+                        "ops": journal[handle.journal_length:],
                         "manifest": manifest,
                     },
                 )
-                ack = handle.recv(timeout=FLIP_ACK_TIMEOUT)
+                waiting[pid] = handle
             except OSError:
-                ack = None
+                failed.append(pid)
+        retained: dict[int, int] = {}
+        deadline = time.monotonic() + FLIP_ACK_TIMEOUT
+        for pid, handle in waiting.items():
+            ack = handle.recv(timeout=max(deadline - time.monotonic(), 0.0))
             if ack and ack.get("ack") == epoch:
                 handle.epoch = epoch
                 handle.journal_length = int(
                     ack.get("journal_length", len(journal))
                 )
-                flipped += 1
+                retained[pid] = int(ack.get("response_cache_retained", 0))
             else:
-                # Dead or wedged: replace it. The respawn forks from the
-                # dispatcher's *current* (post-update) state, so the
-                # replacement is already on the new epoch.
-                self._discard_worker(pid, kill=True)
-                try:
-                    replacement = self._workers[self._spawn()]
-                    self._await_ready(replacement)
-                    flipped += 1
-                except (OSError, RuntimeError):  # pragma: no cover
-                    pass
-        return flipped
+                failed.append(pid)
+        for pid in failed:
+            # Dead or wedged: replace it. The respawn forks from the
+            # dispatcher's *current* (post-update) state, so the
+            # replacement is already on the new epoch, with the
+            # dispatcher's (empty) response cache.
+            self._discard_worker(pid, kill=True)
+            try:
+                replacement = self._workers[self._spawn()]
+                self._await_ready(replacement)
+                retained[replacement.pid] = 0
+            except (OSError, RuntimeError):  # pragma: no cover
+                pass
+        return retained
 
     # -- worker supervision ----------------------------------------------------
 

@@ -99,6 +99,60 @@ class TestWordPosterior:
             assert coarse_mean == pytest.approx(dense_mean, rel=0.1)
 
 
+def reference_posterior(database_size, sample_size, observed, gamma):
+    """Binomial likelihood times the d**gamma prior over d = 1..|D|, in
+    plain Python floats, where 0.0 ** 0 == 1.0 gives 0 * log 0 = 0.
+
+    Data no d can explain (|D| = 1 and a sampled document without the
+    word) puts all mass on d = |D|, as the model documents."""
+    weights = [
+        d**gamma
+        * (d / database_size) ** observed
+        * (1.0 - d / database_size) ** (sample_size - observed)
+        for d in range(1, database_size + 1)
+    ]
+    total = sum(weights)
+    if total == 0.0:
+        return [0.0] * (database_size - 1) + [1.0]
+    return [w / total for w in weights]
+
+
+class TestPosteriorAgainstReference:
+    @pytest.mark.parametrize("database_size", [1, 2, 7, 30])
+    @pytest.mark.parametrize("alpha", [-1.0, -0.7, None])
+    def test_matches_reference_for_every_sample_frequency(
+        self, database_size, alpha
+    ):
+        sample_size = min(database_size, 6)
+        sample_df = {f"w{s}": s for s in range(1, sample_size + 1)}
+        summary = make_summary(
+            size=database_size,
+            sample_size=sample_size,
+            sample_df=sample_df,
+            alpha=alpha,
+        )
+        model = ScoreDistributionModel(summary)
+        words = ["unseen"] + list(sample_df)
+        for observed, word in enumerate(words):
+            support, probs = model.word_posterior(word)
+            assert support.tolist() == list(range(1, database_size + 1))
+            expected = reference_posterior(
+                database_size, sample_size, observed, model.gamma
+            )
+            np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-300)
+
+    def test_word_in_every_sampled_document_keeps_d_equal_size(self):
+        # s = |S|: the likelihood grows with d, so d = |D| is the most
+        # likely support point and must keep its mass.
+        summary = make_summary(
+            size=10, sample_size=10, sample_df={"all": 10}, alpha=-1.0
+        )
+        support, probs = ScoreDistributionModel(summary).word_posterior("all")
+        assert support[-1] == 10
+        assert probs[-1] > 0.0
+        assert int(np.argmax(probs)) == support.size - 1
+
+
 class TestScoreMoments:
     def test_bgloss_moments_positive(self):
         model = ScoreDistributionModel(make_summary())

@@ -30,7 +30,7 @@ from repro.serving import shm
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.lifecycle import summary_payload
 from repro.serving.service import SelectionService, ServiceConfig
-from repro.serving.workers import WorkerPool, fork_available
+from repro.serving.workers import WorkerPool, _WorkerRuntime, fork_available
 from tests.test_columnar_equivalence import _synthetic_cell
 from tests.test_lifecycle import _fresh_summary
 
@@ -76,6 +76,12 @@ def _ranking(response: dict) -> list[tuple[str, float, bool]]:
 
 def _add_op() -> dict:
     return dict(ADD_OP, summary=summary_payload(_fresh_summary()))
+
+
+def _noop_replace(service: SelectionService, name: str = "db03") -> dict:
+    """Replace ``name`` with its own summary: the cell stays identical."""
+    summary = service.metasearcher.sampled_summaries[name]
+    return {"op": "replace", "name": name, "summary": summary_payload(summary)}
 
 
 @pytest.fixture
@@ -222,6 +228,47 @@ class TestEpochFlip:
                 observed = client.select(query, algorithm="lm", k=5)
                 assert _ranking(observed) == _ranking(expected)
             assert len(_shm_entries()) == 1
+
+
+class TestConcurrentFlip:
+    def test_workers_catch_up_at_the_same_time(self, clean_shm, monkeypatch):
+        original = _WorkerRuntime.flip
+
+        def slow_flip(self, *args, **kwargs):
+            time.sleep(0.5)
+            return original(self, *args, **kwargs)
+
+        # Patched before the fork, so both workers inherit the delay.
+        monkeypatch.setattr(_WorkerRuntime, "flip", slow_flip)
+        service = _make_service()
+        with WorkerPool(service, workers=2) as pool:
+            start = time.perf_counter()
+            result = pool.apply_update([_noop_replace(service)])
+            elapsed = time.perf_counter() - start
+        assert result["workers_flipped"] == 2
+        # One after the other the two flips alone take 1.0 s.
+        assert elapsed < 0.9, elapsed
+
+
+class TestPoolCacheRetention:
+    def test_noop_replace_reports_what_the_workers_kept(self, clean_shm):
+        service = _make_service()
+        with WorkerPool(service, workers=2) as pool:
+            client = ServingClient(pool.url, timeout=30.0)
+            # One connection per request: the kernel spreads them over
+            # both workers' caches.
+            for index in range(16):
+                client.select(["gen000", f"c{index:03d}"], algorithm="bgloss", k=5)
+            result = pool.apply_update([_noop_replace(service)])
+            # Each worker's own count, from a fresh telemetry poll.
+            assert pool.collect_telemetry()
+            own = {
+                str(pid): handle.telemetry["service"]["cache_sizes"]["responses"]
+                for pid, handle in pool._workers.items()
+            }
+        assert result["response_cache_retained"] > 0
+        assert result["worker_cache_retained"] == own
+        assert result["response_cache_retained"] == sum(own.values())
 
 
 class TestWorkerDeath:
