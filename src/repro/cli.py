@@ -13,7 +13,8 @@ Exposes the experiment harness without writing Python:
   machine-readable record and warns about >20% timer regressions.
 * ``testbed`` — synthesize a large ``universe-<N>`` cell (closed-form
   summaries, log-uniform sizes) and report its shape; ``--probe`` runs a
-  pruned-vs-full probe query.
+  pruned-vs-full probe query per algorithm and reports the peak resident
+  memory.
 * ``verify-prune`` — prove the pruned exact top-k engine bit-identical
   to a full scan across algorithms, strategies, and sampled queries.
 * ``serve`` — long-lived selection server: preload one cell, then answer
@@ -364,39 +365,61 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     print(f"synthesis wall:  {build_wall:.3f} s")
 
     if args.probe:
+        # One probe per algorithm warms every pruned plain engine, so both
+        # regimes' column stores (df for bGlOSS and CORI, tf for LM) are
+        # built before the peak is read.
         metasearcher = cell.metasearcher
         vocabulary = first.vocab.to_list()
         terms = [vocabulary[len(vocabulary) // 3], vocabulary[-7]]
-        start = time.perf_counter()
-        full = metasearcher.select(terms, algorithm="cori", strategy="plain",
-                                   k=args.k)
-        full_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        pruned = metasearcher.select(terms, algorithm="cori", strategy="plain",
-                                     k=args.k, prune=True)
-        pruned_wall = time.perf_counter() - start
-        identical = pruned.names == full.names and all(
-            pruned.scores[name] == full.scores[name]
-            for name in pruned.scores
-            if name in full.scores
-        )
-        print(
-            f"probe query:     {' '.join(terms)} (cori/plain, k={args.k}) — "
-            f"{'bit-identical' if identical else 'MISMATCH'}"
-        )
-        scored = pruned.candidates_scored
-        if scored is not None:
-            print(
-                f"candidates:      {scored} of {len(summaries)} scored "
-                f"({scored / len(summaries) * 100:.1f}%)"
+        identical_all = True
+        for algorithm in ("bgloss", "cori", "lm"):
+            start = time.perf_counter()
+            pruned = metasearcher.select(terms, algorithm=algorithm,
+                                         strategy="plain", k=args.k, prune=True)
+            pruned_wall = time.perf_counter() - start
+            start = time.perf_counter()
+            full = metasearcher.select(terms, algorithm=algorithm,
+                                       strategy="plain", k=args.k)
+            full_wall = time.perf_counter() - start
+            identical = pruned.names == full.names and all(
+                pruned.scores[name] == full.scores[name]
+                for name in pruned.scores
+                if name in full.scores
             )
-        print(
-            f"probe wall:      full {full_wall:.3f} s, "
-            f"pruned {pruned_wall:.3f} s (includes bound build)"
-        )
-        if not identical:
+            identical_all &= identical
+            print(
+                f"probe query:     {' '.join(terms)} ({algorithm}/plain, "
+                f"k={args.k}) — {'bit-identical' if identical else 'MISMATCH'}"
+            )
+            scored = pruned.candidates_scored
+            if scored is not None:
+                print(
+                    f"candidates:      {scored} of {len(summaries)} scored "
+                    f"({scored / len(summaries) * 100:.1f}%)"
+                )
+            print(
+                f"probe wall:      pruned {pruned_wall:.3f} s "
+                f"(includes any store build), full {full_wall:.3f} s"
+            )
+        peak = _peak_resident_mb()
+        if peak is not None:
+            print(f"peak resident:   {peak:.1f} MB (VmHWM)")
+        if not identical_all:
             return 1
     return 0
+
+
+def _peak_resident_mb() -> float | None:
+    """This process's peak resident set size (VmHWM) in MB; None where
+    ``/proc/self/status`` does not report it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 def _cmd_verify_prune(args: argparse.Namespace) -> int:
@@ -1472,7 +1495,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     testbed.add_argument(
         "--probe", action="store_true",
-        help="run one pruned-vs-full probe query and report the touch rate",
+        help="run a pruned-vs-full probe query per algorithm and report "
+        "the touch rate and the peak resident memory (VmHWM)",
     )
     testbed.add_argument("--k", type=int, default=10)
     _add_runtime_arguments(testbed)

@@ -66,22 +66,94 @@ def _missing_probability(summary: ContentSummary, regime: str) -> float:
     return 0.0
 
 
+def _row_entries(
+    summary: ContentSummary, regime: str, default: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (ids, values) one row stores; every other id reads the
+    row's ``default``.
+
+    A zero-default (plain) row stores its regime arrays as they are. A
+    shrunk row stores its df-support ids at 0 — ids in the support but
+    without regime mass score 0, not the floor (ShrunkSummary's support
+    mask) — overwritten by its positive regime values.
+    """
+    ids, values = summary.regime_arrays(regime)
+    if default == 0.0:
+        return ids, values
+    positive = values > 0.0
+    support = summary.regime_arrays("df")[0]
+    if ids is support:
+        return ids, np.where(positive, values, 0.0)
+    kept = ids[positive]
+    # Sorted union of two sorted id arrays (sorting beats np.union1d's
+    # hashing here by several times).
+    merged = np.concatenate((support, kept))
+    merged.sort()
+    distinct = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    entry_ids = merged[distinct]
+    entries = np.zeros(entry_ids.size, dtype=np.float64)
+    entries[np.searchsorted(entry_ids, kept)] = values[positive]
+    return entry_ids, entries
+
+
 _KNOWN_LOOKUPS = (
     ContentSummary.scored_lookup,
     ShrunkSummary.scored_lookup,
 )
 
+#: Fields of one regime's store, exported as ``<field>.<regime>``.
+STORE_FIELDS = (
+    "indptr", "rows", "values", "defaults", "rowmax", "colmax", "groupmax",
+)
+
+
+class ColumnStore:
+    """One regime's entries in compressed-sparse-column form, plus bounds.
+
+    Column ``v`` (a vocabulary id) holds ``rows[indptr[v]:indptr[v+1]]``
+    (int32, ascending) with ``values`` at the same positions; a row
+    without an entry at ``v`` reads its ``defaults`` value. ``rowmax``,
+    ``colmax`` and ``groupmax`` are the exact per-row, per-id and
+    per-(group, id) maxima of that implied matrix.
+    """
+
+    __slots__ = STORE_FIELDS
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        for field in STORE_FIELDS:
+            setattr(self, field, arrays[field])
+
+
+def _check_array(
+    key: str, array: np.ndarray, dtype: type, shape: tuple | None = None
+) -> None:
+    """Raise ``ValueError`` unless ``array`` has ``dtype`` and ``shape``
+    (any 1-D length when ``shape`` is None)."""
+    if shape is None:
+        fits = array.ndim == 1
+    else:
+        fits = array.shape == shape
+    if array.dtype != dtype or not fits:
+        raise ValueError(
+            f"{key}: expected {np.dtype(dtype).name} "
+            f"{'1-D' if shape is None else shape}, "
+            f"got {array.dtype} {array.shape}"
+        )
+
 
 class SummarySetMatrix:
-    """Stacked columnar probabilities for one fixed summary set.
+    """Sparse per-regime score stores for one fixed summary set.
 
     Rows follow sorted database-name order (the iteration order of
     :func:`~repro.selection.base.rank_databases`); columns are vocabulary
-    ids, frozen at build time. Each row reproduces the summary's
-    ``scored_lookup`` semantics exactly: plain summaries default missing
-    ids to 0, shrunk summaries to their uniform-component floor, and ids
-    inside the df support but without regime mass stay 0 (not floor) —
-    mirroring :meth:`ShrunkSummary.scored_lookup`'s support mask.
+    ids, frozen at construction. Per regime the matrix keeps one
+    :class:`ColumnStore` built row by row from the summaries' own arrays
+    on first use. Each row reproduces the summary's ``scored_lookup``
+    semantics exactly: plain summaries default missing ids to 0, shrunk
+    summaries to their uniform-component floor, and ids inside the df
+    support but without regime mass stay 0 (not floor) — mirroring
+    :meth:`ShrunkSummary.scored_lookup`'s support mask.
 
     ``labels`` (one per row, in sorted-name order) partition the rows
     into the pruned scan's groups — category subtrees, see
@@ -91,7 +163,6 @@ class SummarySetMatrix:
     def __init__(
         self,
         summaries: Mapping[str, ContentSummary],
-        previous: "SummarySetMatrix | None" = None,
         labels: Sequence[tuple[str, ...]] | None = None,
     ) -> None:
         if not summaries:
@@ -117,25 +188,10 @@ class SummarySetMatrix:
         self.vocab = next(iter(vocabs.values()))
         self.sizes = np.array([s.size for s in ordered], dtype=np.float64)
         self._width = len(self.vocab)
-        self._dense: dict[str, np.ndarray] = {}
-        self._defaults: dict[str, np.ndarray] = {}
-        self._colmax: dict[str, np.ndarray] = {}
-        self._rowmax: dict[str, np.ndarray] = {}
+        self._stores: dict[str, ColumnStore] = {}
         self._present: np.ndarray | None = None
         self._cw: np.ndarray | None = None
         self._ids_cache = LruCache(_QUERY_IDS_CACHE_SIZE)
-        # Copy-on-write seed: rows whose summary *object* also appears in
-        # ``previous`` are copied from its dense arrays instead of being
-        # rebuilt (identical input object + identical per-row construction
-        # => bitwise-identical row). Only matrices over the same
-        # append-only vocabulary instance qualify; a narrower previous
-        # matrix is fine, its missing tail is the row default.
-        self._previous = (
-            previous
-            if previous is not None and previous.vocab is self.vocab
-            else None
-        )
-        self.reused_rows = 0
         self.groups = GroupIndex(
             self, labels if labels is not None else [()] * len(names)
         )
@@ -143,66 +199,63 @@ class SummarySetMatrix:
     def __len__(self) -> int:
         return len(self.names)
 
-    # -- dense construction ---------------------------------------------------
+    # -- the column store -------------------------------------------------------
 
-    def _previous_row(self, summary: ContentSummary) -> int | None:
-        """The row of ``summary`` (by identity) in the previous matrix."""
-        previous = self._previous
-        if previous is None:
-            return None
-        row = getattr(previous, "_row_index", None)
-        if row is None:
-            row = previous._row_index = {
-                id(s): index for index, s in enumerate(previous.summaries)
-            }
-        return row.get(id(summary))
+    def store(self, regime: str = "df") -> ColumnStore:
+        """The regime's column store, built on first use."""
+        store = self._stores.get(regime)
+        if store is None:
+            store = self._stores[regime] = self._build(regime)
+        return store
 
-    def _build_row(
-        self, dense_row: np.ndarray, summary: ContentSummary, regime: str,
-        default: float,
-    ) -> None:
-        if default != 0.0:
-            dense_row.fill(default)
-            # Ids in the df support but without regime mass score 0,
-            # not the floor (ShrunkSummary's support mask).
-            dense_row[summary.regime_arrays("df")[0]] = 0.0
-        ids, values = summary.regime_arrays(regime)
-        positive = values > 0.0
-        if positive.all():
-            dense_row[ids] = values
-        else:
-            dense_row[ids[positive]] = values[positive]
-            if default == 0.0:
-                dense_row[ids[~positive]] = values[~positive]
-
-    def _build(self, regime: str) -> None:
-        n = len(self.summaries)
-        dense = np.zeros((n, self._width), dtype=np.float64)
-        defaults = np.zeros(n, dtype=np.float64)
-        previous = self._previous
-        previous_dense = (
-            previous._dense.get(regime) if previous is not None else None
+    def _build(self, regime: str) -> ColumnStore:
+        """Two passes over the rows: count each column's entries, then
+        place every row's entries and fold its bounds. Besides the store
+        and its bounds, nothing larger than one vocabulary-wide row is
+        allocated."""
+        n, width = len(self.summaries), self._width
+        defaults = np.array(
+            [_missing_probability(s, regime) for s in self.summaries],
+            dtype=np.float64,
         )
+        counts = np.zeros(width + 1, dtype=np.int64)
         for row, summary in enumerate(self.summaries):
-            default = _missing_probability(summary, regime)
-            defaults[row] = default
-            if previous_dense is not None:
-                source = self._previous_row(summary)
-                if source is not None:
-                    if default != 0.0 and previous._width < self._width:
-                        dense[row, previous._width:] = default
-                    dense[row, : previous._width] = previous_dense[source]
-                    self.reused_rows += 1
-                    continue
-            self._build_row(dense[row], summary, regime, default)
-        self._dense[regime] = dense
-        self._defaults[regime] = defaults
+            ids = _row_entries(summary, regime, defaults[row])[0]
+            np.add.at(counts[1:], ids, 1)
+        indptr = np.cumsum(counts, out=counts)
+        rows = np.empty(int(indptr[-1]), dtype=np.int32)
+        values = np.empty(int(indptr[-1]), dtype=np.float64)
+        cursor = indptr[:-1].copy()
 
-    def dense(self, regime: str = "df") -> np.ndarray:
-        """The (databases, vocabulary) score-matrix for ``regime``."""
-        if regime not in self._dense:
-            self._build(regime)
-        return self._dense[regime]
+        group_of = np.empty(n, dtype=np.int64)
+        for group, members in enumerate(self.groups.rows):
+            group_of[members] = group
+        groupmax = np.full((len(self.groups), width), -np.inf)
+        line = np.empty(width, dtype=np.float64)  # one row, densified
+        rowmax = defaults.copy()
+        for row, summary in enumerate(self.summaries):
+            default = defaults[row]
+            ids, entries = _row_entries(summary, regime, default)
+            slots = cursor[ids]
+            rows[slots] = row
+            values[slots] = entries
+            slots += 1
+            cursor[ids] = slots
+            if entries.size:
+                rowmax[row] = np.maximum(default, entries.max())
+            line.fill(default)
+            line[ids] = entries
+            target = groupmax[group_of[row]]
+            np.maximum(target, line, out=target)
+        return ColumnStore(
+            indptr=indptr,
+            rows=rows,
+            values=values,
+            defaults=defaults,
+            rowmax=rowmax,
+            colmax=groupmax.max(axis=0),
+            groupmax=groupmax,
+        )
 
     # -- top-k pruning bounds --------------------------------------------------
 
@@ -214,9 +267,7 @@ class SummarySetMatrix:
         Exact maxima (no arithmetic), so a zero entry certifies that every
         database scores its floor component at that word.
         """
-        if regime not in self._colmax:
-            self._colmax[regime] = self.dense(regime).max(axis=0)
-        return self._colmax[regime]
+        return self.store(regime).colmax
 
     def row_max(self, regime: str = "df") -> np.ndarray:
         """Per-database maximum probability across the whole vocabulary.
@@ -225,17 +276,11 @@ class SummarySetMatrix:
         never sees a per-word probability above ``row_max()[i]`` (the
         default is included, covering out-of-vocabulary lookups).
         """
-        if regime not in self._rowmax:
-            dense = self.dense(regime)
-            self._rowmax[regime] = np.maximum(
-                dense.max(axis=1), self._defaults[regime]
-            )
-        return self._rowmax[regime]
+        return self.store(regime).rowmax
 
     def default_max(self, regime: str = "df") -> float:
         """Upper bound on what any row returns for an unknown/invalid id."""
-        self.dense(regime)
-        defaults = self._defaults[regime]
+        defaults = self.store(regime).defaults
         return float(defaults.max()) if defaults.size else 0.0
 
     def column_max_at(self, ids: np.ndarray, regime: str = "df") -> np.ndarray:
@@ -252,21 +297,17 @@ class SummarySetMatrix:
     def export_arrays(self) -> dict[str, np.ndarray]:
         """Every *built* backing array, keyed by field name.
 
-        Keys: ``dense.<regime>`` / ``defaults.<regime>`` for each regime
-        densified so far, plus ``present`` and ``cw`` when those lazies
-        have fired. Only what is already built is exported — a snapshot
-        shares exactly the buffers its warmup traffic touched; anything
-        else stays lazy (and is rebuilt locally, bit-identically, on
-        demand by whoever adopts the export).
+        Keys: ``<field>.<regime>`` for every :data:`STORE_FIELDS` field of
+        each regime built so far, plus ``present`` and ``cw`` when those
+        lazies have fired. Only what is already built is exported — a
+        snapshot shares exactly the buffers its warmup traffic touched;
+        anything else stays lazy (and is rebuilt locally, bit-identically,
+        on demand by whoever adopts the export).
         """
         arrays: dict[str, np.ndarray] = {}
-        for regime, dense in self._dense.items():
-            arrays[f"dense.{regime}"] = dense
-            arrays[f"defaults.{regime}"] = self._defaults[regime]
-        for regime, colmax in self._colmax.items():
-            arrays[f"colmax.{regime}"] = colmax
-        for regime, rowmax in self._rowmax.items():
-            arrays[f"rowmax.{regime}"] = rowmax
+        for regime, store in self._stores.items():
+            for field in STORE_FIELDS:
+                arrays[f"{field}.{regime}"] = getattr(store, field)
         if self._present is not None:
             arrays["present"] = self._present
         if self._cw is not None:
@@ -277,66 +318,79 @@ class SummarySetMatrix:
         """Install externally materialized backing arrays (zero-copy).
 
         The inverse of :meth:`export_arrays`: the given buffers — e.g.
-        numpy views over a shared-memory segment — replace (or pre-empt)
-        the locally densified ones, so :meth:`dense`, :meth:`present`,
-        and :meth:`cw` serve from them without ever allocating. Shapes
-        and dtypes are validated against this matrix's geometry; a
-        mismatched buffer (wrong database count or a vocabulary that
-        grew past the exporter's) raises ``ValueError`` rather than
-        silently mis-scoring.
+        numpy views over a shared-memory segment — pre-empt the local
+        builds, so gathers, bounds, :meth:`present` and :meth:`cw` serve
+        from them without allocating. Everything is checked against this
+        matrix's geometry before anything is installed, and a malformed
+        store fails closed with ``ValueError`` rather than mis-scoring:
+        a regime must arrive with every :data:`STORE_FIELDS` field, its
+        ``indptr`` must start at 0, never decrease and end at the entry
+        count, row ids must be int32 within ``[0, databases)`` and
+        parallel to float64 values.
         """
-        n = len(self.summaries)
+        n, width = len(self.summaries), self._width
+        fields_by_regime: dict[str, dict[str, np.ndarray]] = {}
+        present = cw = None
         for key, array in arrays.items():
             field, _, regime = key.partition(".")
-            if field == "dense":
-                if array.shape != (n, self._width) or array.dtype != np.float64:
-                    raise ValueError(
-                        f"{key}: expected float64 {(n, self._width)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._dense[regime] = array
-            elif field == "defaults":
-                if array.shape != (n,) or array.dtype != np.float64:
-                    raise ValueError(
-                        f"{key}: expected float64 {(n,)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._defaults[regime] = array
-            elif field == "colmax":
-                if array.shape != (self._width,) or array.dtype != np.float64:
-                    raise ValueError(
-                        f"{key}: expected float64 {(self._width,)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._colmax[regime] = array
-            elif field == "rowmax":
-                if array.shape != (n,) or array.dtype != np.float64:
-                    raise ValueError(
-                        f"{key}: expected float64 {(n,)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._rowmax[regime] = array
-            elif field == "present":
-                if array.shape != (n, self._width) or array.dtype != np.bool_:
-                    raise ValueError(
-                        f"{key}: expected bool {(n, self._width)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._present = array
-            elif field == "cw":
-                if array.shape != (n,) or array.dtype != np.float64:
-                    raise ValueError(
-                        f"{key}: expected float64 {(n,)}, "
-                        f"got {array.dtype} {array.shape}"
-                    )
-                self._cw = array
+            if field in STORE_FIELDS and regime:
+                fields_by_regime.setdefault(regime, {})[field] = array
+            elif key == "present":
+                _check_array(key, array, np.bool_, (n, width))
+                present = array
+            elif key == "cw":
+                _check_array(key, array, np.float64, (n,))
+                cw = array
             else:
                 raise ValueError(f"unknown matrix array field {key!r}")
-        for regime in self._dense:
-            if regime not in self._defaults:
-                raise ValueError(
-                    f"dense.{regime} adopted without defaults.{regime}"
-                )
+        stores = {
+            regime: self._checked_store(regime, fields)
+            for regime, fields in fields_by_regime.items()
+        }
+        self._stores.update(stores)
+        if present is not None:
+            self._present = present
+        if cw is not None:
+            self._cw = cw
+
+    def _checked_store(
+        self, regime: str, fields: Mapping[str, np.ndarray]
+    ) -> ColumnStore:
+        n, width = len(self.summaries), self._width
+        missing = [field for field in STORE_FIELDS if field not in fields]
+        if missing:
+            raise ValueError(
+                f"store {regime!r} arrived without "
+                + ", ".join(f"{field}.{regime}" for field in missing)
+            )
+        indptr, rows, values = (
+            fields["indptr"], fields["rows"], fields["values"]
+        )
+        _check_array(f"indptr.{regime}", indptr, np.int64, (width + 1,))
+        _check_array(f"rows.{regime}", rows, np.int32)
+        _check_array(f"values.{regime}", values, np.float64)
+        _check_array(f"defaults.{regime}", fields["defaults"], np.float64, (n,))
+        _check_array(f"rowmax.{regime}", fields["rowmax"], np.float64, (n,))
+        _check_array(f"colmax.{regime}", fields["colmax"], np.float64, (width,))
+        _check_array(
+            f"groupmax.{regime}", fields["groupmax"], np.float64,
+            (len(self.groups), width),
+        )
+        if rows.size != values.size:
+            raise ValueError(
+                f"rows.{regime} holds {rows.size} ids but "
+                f"values.{regime} {values.size} values"
+            )
+        if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError(f"indptr.{regime} must start at 0 and never decrease")
+        if indptr[-1] != rows.size:
+            raise ValueError(
+                f"indptr.{regime} ends at {int(indptr[-1])}, "
+                f"not at the entry count {rows.size}"
+            )
+        if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= n):
+            raise ValueError(f"rows.{regime} names a row outside [0, {n})")
+        return ColumnStore(**{field: fields[field] for field in STORE_FIELDS})
 
     # -- query resolution and gathering ---------------------------------------
 
@@ -351,32 +405,31 @@ class SummarySetMatrix:
 
     def gather(self, ids: np.ndarray, regime: str = "df") -> np.ndarray:
         """Per-word probabilities for all databases: a (databases, words)
-        matrix whose row ``i`` equals ``summaries[i].scored_lookup(ids)``."""
-        dense = self.dense(regime)
+        matrix whose row ``i`` equals ``summaries[i].scored_lookup(ids)``.
+
+        The block starts as the row defaults; each in-range id's column
+        entries are then scattered over it. It is filled one contiguous
+        line per word and returned transposed: the kernels fold word by
+        word, and elementwise arithmetic does not depend on memory layout.
+        """
+        store = self.store(regime)
         ids = np.asarray(ids, dtype=np.int64)
-        valid = (ids >= 0) & (ids < self._width)
-        if valid.all():
-            return dense[:, ids]
-        safe = np.where(valid, ids, 0)
-        out = dense[:, safe]
-        out[:, ~valid] = self._defaults[regime][:, None]
-        return out
+        lines = np.empty((ids.size, len(self.summaries)), dtype=np.float64)
+        lines[:] = store.defaults
+        for line, word in zip(lines, ids.tolist()):
+            if 0 <= word < self._width:
+                start, stop = store.indptr[word], store.indptr[word + 1]
+                # An explicit intp copy of the int32 ids scatters faster
+                # than numpy's implicit conversion.
+                targets = store.rows[start:stop].astype(np.intp)
+                line[targets] = store.values[start:stop]
+        return lines.T
 
     def gather_rows(
         self, rows: np.ndarray, ids: np.ndarray, regime: str = "df"
     ) -> np.ndarray:
-        """Row subset of :meth:`gather`: ``gather(ids, regime)[rows]``
-        without materializing the full matrix (pure selection, bitwise
-        identical to slicing the full gather)."""
-        dense = self.dense(regime)
-        rows = np.asarray(rows, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
-        valid = (ids >= 0) & (ids < self._width)
-        safe = np.where(valid, ids, 0)
-        out = dense[rows[:, None], safe[None, :]]
-        if not valid.all():
-            out[:, ~valid] = self._defaults[regime][rows][:, None]
-        return out
+        """Row subset of :meth:`gather`: ``gather(ids, regime)[rows]``."""
+        return self.gather(ids, regime)[np.asarray(rows, dtype=np.int64)]
 
     # -- CORI corpus statistics ------------------------------------------------
 
@@ -431,11 +484,11 @@ class GroupIndex:
     """Aggregated per-group bounds over one :class:`SummarySetMatrix`.
 
     Groups partition the rows by label (classification paths — i.e.
-    category subtrees). Per regime the index keeps each group's per-id
-    column maxima plus its default/size/cw aggregates, all lazy: nothing
-    is computed until the pruned scan first needs it. The arrays are
-    derived deterministically from the (possibly shared-memory) dense
-    matrices, so attaching workers rebuild them locally bit-identically.
+    category subtrees). Each matrix owns one index (``matrix.groups``);
+    its per-id column maxima are folded in the same row loop that builds
+    the matrix's column store (and ride along in a shared-memory
+    snapshot), while the default/size/cw aggregates are computed lazily
+    when the pruned scan first needs them.
     """
 
     def __init__(
@@ -451,7 +504,6 @@ class GroupIndex:
         self.rows: list[np.ndarray] = [
             np.array(by_label[label], dtype=np.int64) for label in self.labels
         ]
-        self._colmax: dict[str, np.ndarray] = {}
         self._defaults_max: dict[str, np.ndarray] = {}
         self._size_max: np.ndarray | None = None
         self._cw_min: np.ndarray | None = None
@@ -461,18 +513,12 @@ class GroupIndex:
 
     def colmax(self, regime: str) -> np.ndarray:
         """(groups, vocabulary) per-id maxima over each group's rows."""
-        if regime not in self._colmax:
-            dense = self.matrix.dense(regime)
-            self._colmax[regime] = np.stack(
-                [dense[rows].max(axis=0) for rows in self.rows]
-            )
-        return self._colmax[regime]
+        return self.matrix.store(regime).groupmax
 
     def defaults_max(self, regime: str) -> np.ndarray:
         """Per-group maximum default (bounds unknown/invalid-id lookups)."""
         if regime not in self._defaults_max:
-            self.matrix.dense(regime)
-            defaults = self.matrix._defaults[regime]
+            defaults = self.matrix.store(regime).defaults
             self._defaults_max[regime] = np.array(
                 [defaults[rows].max() for rows in self.rows],
                 dtype=np.float64,

@@ -178,28 +178,15 @@ class Metasearcher:
         #: (algorithm, set) cuts snapshot memory by the algorithm count.
         self._set_matrices: dict[str, SummarySetMatrix] = {}
         self._hierarchical: dict[str, HierarchicalSelector] = {}
-        #: Copy-on-write seeds: previous-snapshot matrices engines may
-        #: reuse rows from (see :meth:`seed_matrices_from`).
-        self._matrix_seeds: dict[str, SummarySetMatrix] = {}
-
-    def seed_matrices_from(self, previous: "Metasearcher") -> None:
-        """Adopt a previous snapshot's score matrices as COW seeds.
-
-        Matrices built later copy rows for summaries that are the *same
-        object* in both snapshots (bitwise-identical by construction)
-        instead of re-densifying them — the "prebuilt SummarySetMatrix
-        stacks" part of the snapshot contract.
-        """
-        self._matrix_seeds.update(previous._set_matrices)
 
     def ensure_engines(self, roles: set[str] | None = None) -> None:
         """Construct engines (and their matrices) without issuing a query.
 
         Engine construction is cheap (scorer prepare, name sort, size
-        stack); the heavy dense matrices stay lazy. Callers that want to
-        install external buffers (shared-memory views, see
+        stack); the matrices' column stores stay lazy. Callers that want
+        to install external buffers (shared-memory views, see
         :mod:`repro.serving.shm`) call this first so the matrices exist
-        to adopt into, *before* any select densifies them locally.
+        to adopt into, *before* any select builds a store locally.
 
         ``roles`` — snapshot role keys (``set:plain``/``set:shrunk``) —
         limits construction to the sets a manifest actually carries:
@@ -275,7 +262,6 @@ class Metasearcher:
             if key[1] == SelectionStrategy.PLAIN.value
         }
         self._set_matrices.pop("shrunk", None)
-        self._matrix_seeds.pop("shrunk", None)
 
     def make_scorer(self, algorithm: str) -> DatabaseScorer:
         """A fresh scorer instance for ``algorithm`` (bgloss/cori/lm)."""
@@ -405,7 +391,6 @@ class Metasearcher:
             ):
                 matrix = SummarySetMatrix(
                     summaries,
-                    previous=self._matrix_seeds.get(key),
                     labels=group_labels(sorted(summaries), self.classifications),
                 )
             self._set_matrices[key] = matrix

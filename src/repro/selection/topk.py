@@ -129,6 +129,10 @@ def pruned_scan(
     colvec = source.column_max(ids, regime)
     rowmax = source.row_max(regime)
 
+    # The query's columns for every row, gathered on the first group
+    # that needs them. Local to this scan: a threaded server shares one
+    # matrix across concurrent requests.
+    block: np.ndarray | None = None
     scored_rows: list[np.ndarray] = []
     scored_scores: list[np.ndarray] = []
     top: list[float] = []  # min-heap of the k best exact scores so far
@@ -162,9 +166,11 @@ def pruned_scan(
         kept = rows[keep]
         if kept.size == 0:
             continue
+        if block is None:
+            block = source.gather(ids, regime)
         scores = scorer.row_scores(
             terms,
-            source.gather(ids, regime, kept),
+            block[kept],
             sizes[kept],
             None if cw is None else cw[kept],
             statistics,

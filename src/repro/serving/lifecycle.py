@@ -14,9 +14,9 @@ change would stall serving for seconds; this module applies changes
   :meth:`~repro.core.category.CategorySummaryBuilder.copy_for_update`
   clone of the category builder, patching only the affected category
   path, and re-runs the Figure-2 EM only for databases whose mixture
-  components actually changed. The resulting metasearcher seeds its
-  score matrices from the previous snapshot's, so unchanged rows are
-  copied, not re-densified.
+  components actually changed. The resulting metasearcher builds its
+  sparse score stores afresh from the summaries, in time proportional
+  to their entry count.
 
 Bit-identity contract: the incrementally updated cell must be *bitwise*
 identical — shrunk probabilities, EM lambdas, scores, floors, selected
@@ -48,6 +48,7 @@ import numpy as np
 from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrunkSummary, shrink_database_summary
+from repro.selection.batch import STORE_FIELDS
 from repro.selection.metasearcher import Metasearcher
 from repro.summaries.io import summary_from_dict, summary_to_dict
 from repro.summaries.summary import (
@@ -290,19 +291,14 @@ class CellUpdater:
         """The re-homed summary an add/replace op introduces."""
         return rehome_summary(summary_from_dict(op["summary"]), working.vocab)
 
-    def apply(
-        self,
-        ops: Sequence[Mapping],
-        previous: Metasearcher | None = None,
-    ) -> tuple[Metasearcher, dict]:
+    def apply(self, ops: Sequence[Mapping]) -> tuple[Metasearcher, dict]:
         """Apply ``ops`` in order; returns (new metasearcher, info dict).
 
         The current builder is never mutated — a failed op leaves the
         updater (and every published snapshot) exactly as it was. On
         success the updater advances to the new state and the returned
-        metasearcher carries the patched builder, the minimally
-        recomputed shrunk set, and (via ``previous``) copy-on-write
-        matrix seeds.
+        metasearcher carries the patched builder and the minimally
+        recomputed shrunk set.
         """
         from repro.evaluation.instrument import count, span
 
@@ -392,8 +388,6 @@ class CellUpdater:
             prepared_scorers=self.prepared_scorers,
         )
         metasearcher.set_shrunk_summaries(shrunk)
-        if previous is not None:
-            metasearcher.seed_matrices_from(previous)
 
         # Commit: only reached when every op (and the recompute) succeeded.
         self._builder = working
@@ -687,24 +681,21 @@ def verify_against_rebuild(
             ):
                 mismatches.append(f"{name}: {regime} probabilities")
 
-    # The pruned top-k engine scores against per-term bound arrays; a
-    # stale or corrupted bound silently breaks its exactness guarantee,
-    # so the bounds are held to the same bitwise standard as the dense
-    # matrices they summarize.
+    # Every column-store array — entries, defaults and the bounds the
+    # pruned top-k engine scores against (a stale bound silently breaks
+    # its exactness guarantee) — must equal a fresh build's bit for bit.
     metasearcher.ensure_engines()
     fresh.ensure_engines()
     theirs_by_role = fresh.engine_matrices()
     for key, mine in metasearcher.engine_matrices().items():
         theirs = theirs_by_role[key]
         for regime in ("df", "tf"):
-            if not np.array_equal(
-                mine.column_max(regime), theirs.column_max(regime)
-            ):
-                mismatches.append(f"{key}: colmax.{regime}")
-            if not np.array_equal(
-                mine.row_max(regime), theirs.row_max(regime)
-            ):
-                mismatches.append(f"{key}: rowmax.{regime}")
+            ours, rebuilt_store = mine.store(regime), theirs.store(regime)
+            for field in STORE_FIELDS:
+                if not np.array_equal(
+                    getattr(ours, field), getattr(rebuilt_store, field)
+                ):
+                    mismatches.append(f"{key}: {field}.{regime}")
 
     if queries is None:
         queries = probe_queries(metasearcher)

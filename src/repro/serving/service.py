@@ -377,11 +377,11 @@ class SelectionService:
         """Build every engine and score matrix before the first request.
 
         One throwaway query per (algorithm, strategy) forces scorer
-        prepare, matrix stacking, and the dense-regime builds, so request
+        prepare, matrix stacking, and the column-store builds, so request
         latency never includes one-time construction — and so the
-        lock-free request path never races a lazy engine build. With
-        pruning on, the warmup also builds the column/row bound arrays,
-        so a shared-memory pack right after warmup covers them.
+        lock-free request path never races a lazy engine build. Each
+        store is built with the bound arrays the pruned scan reads, so a
+        shared-memory pack right after warmup covers them.
         """
         self._warm(self._snapshot.metasearcher, self.config)
 
@@ -733,9 +733,7 @@ class SelectionService:
                     harness_context=self._harness_context,
                 )
             start = time.perf_counter()
-            metasearcher, info = self._updater.apply(
-                ops, previous=previous.metasearcher
-            )
+            metasearcher, info = self._updater.apply(ops)
             manifest = None
             if materialize is not None:
                 manifest = materialize(metasearcher, next_version)

@@ -1,9 +1,10 @@
 """Shared-memory snapshot segments for multi-process serving (DESIGN.md §5f).
 
 A warmed :class:`~repro.serving.lifecycle.CellSnapshot` is, by byte
-count, almost entirely its dense score matrices (float64 databases ×
-vocabulary stacks plus their presence/cw side arrays). This module flat-
-packs those buffers into one contiguous ``multiprocessing.shared_memory``
+count, almost entirely its score matrices' column stores (per regime:
+``indptr``, int32 row ids and float64 values, plus row defaults, bound
+arrays and the presence/cw side arrays). This module flat-packs those
+buffers into one contiguous ``multiprocessing.shared_memory``
 segment and describes the layout with a small JSON *manifest*, so any
 number of worker processes can map the same physical pages read-only and
 score against them zero-copy:
@@ -23,24 +24,29 @@ score against them zero-copy:
   publisher's own matrices onto the shared views (so parent and forked
   workers literally share pages); adopt maps the manifest back into a
   receiver's matrices (``adopt_arrays``) before its first select, so the
-  receiver never densifies locally.
+  receiver never builds a store locally.
 
-Manifest format (plain JSON, schema 2)::
+Manifest format (plain JSON, schema 3)::
 
-    {"schema": 2, "segment": "repro_shm_<pid>_<epoch>_<nonce>",
+    {"schema": 3, "segment": "repro_shm_<pid>_<epoch>_<nonce>",
      "digest": "<sha256 hex of bytes [0, total_bytes)>",
      "total_bytes": N, "epoch": E,
-     "arrays": {"set:plain/dense.df":
-                    {"offset": 0, "dtype": "float64", "shape": [10, 4096]},
+     "arrays": {"set:plain/indptr.df":
+                    {"offset": 0, "dtype": "int64", "shape": [4097]},
+                "set:plain/rows.df":
+                    {"offset": 32832, "dtype": "int32", "shape": [11000]},
                 ...}}
 
 Array keys are ``<matrix role>/<field>`` where the role comes from
 :meth:`~repro.selection.metasearcher.Metasearcher.engine_matrices` —
 one matrix per summary set (``set:plain``/``set:shrunk``), shared by all
 algorithms, so publisher and attacher agree across processes by
-construction. Schema 2 also packs each matrix's per-term column/row
-bound arrays (``colmax.*``/``rowmax.*``), which the pruned top-k engine
-scores against — digest-checked like every other buffer.
+construction. Each built regime packs every field of its column store
+(:data:`~repro.selection.batch.STORE_FIELDS`: ``indptr``, ``rows``,
+``values``, ``defaults`` and the ``rowmax``/``colmax``/``groupmax``
+bounds the pruned top-k engine scores against), digest-checked like
+every other buffer; ``adopt_arrays`` refuses a store that arrives
+incomplete or malformed.
 
 Cleanup discipline: the *publisher* owns the segment name — only it ever
 calls :meth:`SnapshotSegment.unlink`. Attachers close their mapping when
@@ -60,11 +66,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-#: Manifest schema version. 2: one matrix per summary set
-#: (``set:plain``/``set:shrunk`` roles) plus packed column/row bound
-#: arrays for pruned top-k — schema-1 manifests (per-algorithm roles, no
-#: bounds) are not adoptable and fail loudly.
-SCHEMA_VERSION = 2
+#: Manifest schema version. 3: each matrix regime is a sparse column
+#: store (``indptr``/``rows``/``values`` with defaults and bounds) —
+#: schema-2 manifests (dense ``dense.<regime>`` stacks) and older are
+#: not adoptable and fail loudly.
+SCHEMA_VERSION = 3
 
 #: Prefix for every segment this module creates — greppable in
 #: ``/dev/shm`` and asserted clean by the CI worker-smoke leg.
@@ -309,7 +315,7 @@ def adopt_snapshot(
 
     The metasearcher's engines are constructed (cheap) if needed, then
     every matrix the manifest covers adopts the shared buffers in place
-    of local densification. Must run before the snapshot's first select
+    of local store builds. Must run before the snapshot's first select
     to get the zero-copy benefit; running later is correct but wasteful.
     """
     from repro.evaluation.instrument import span

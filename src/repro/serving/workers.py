@@ -869,7 +869,7 @@ class WorkerPool:
             def materialize(metasearcher, version):
                 # Warm first so the pack covers the built matrices, then
                 # share them; the service's own warm pass after this is a
-                # cheap second visit over already-dense buffers.
+                # cheap second visit over already-built stores.
                 SelectionService._warm(metasearcher, self.service.config)
                 packed["manifest"], packed["segment"] = shm.publish_snapshot(
                     metasearcher, epoch=version

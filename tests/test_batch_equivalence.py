@@ -13,6 +13,10 @@ universal shrunk, and adaptive mixed summary choices; empty queries;
 out-of-vocabulary terms; summaries on their own vocabularies; plus a
 hypothesis property over random queries. The reference is
 ``choose_summaries`` + ``rank_databases`` on freshly prepared scorers.
+Below the scorers, one oracle checks the matrix's sparse column store:
+every gather and bound equals arrays built from each summary's own
+``scored_lookup`` (:func:`lookup_oracle`), over random plain and shrunk
+sets.
 """
 
 import numpy as np
@@ -21,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import choose_summaries
+from repro.core.shrinkage import ShrunkSummary
+from repro.core.vocab import Vocabulary
 from repro.selection.base import rank_databases
 from repro.selection.batch import (
     AdaptiveBatchEngine,
@@ -30,6 +36,7 @@ from repro.selection.batch import (
     batch_floor_map,
 )
 from repro.selection.metasearcher import Metasearcher, SelectionOutcome
+from repro.summaries.summary import ContentSummary
 from tests.test_columnar_equivalence import _synthetic_cell
 
 ALGORITHMS = ("bgloss", "cori", "lm")
@@ -244,3 +251,130 @@ class TestRandomQueriesProperty:
         b = searcher.select(query, algorithm=algorithm, strategy=strategy, k=4)
         s = serial_select(searcher, query, algorithm, strategy, 4)
         assert_outcomes_identical(b, s)
+
+
+# -- the column store against scored_lookup -------------------------------------
+
+
+def lookup_oracle(matrix, ids, regime):
+    """(rows, ids) probabilities from each summary's own ``scored_lookup``:
+    the matrix the column store stands for."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return np.stack([s.scored_lookup(ids, regime) for s in matrix.summaries])
+
+
+def assert_bitwise(actual, expected, context=""):
+    __tracebackhide__ = True
+    assert actual.dtype == expected.dtype, context
+    assert actual.shape == expected.shape, context
+    assert actual.tobytes() == expected.tobytes(), context
+
+
+def assert_store_matches_oracle(matrix, regime, width, probe_ids, rows):
+    """``gather``, ``gather_rows``, ``column_max``, ``row_max`` and the
+    group maxima equal the oracle's arrays bit for bit; ``width`` is the
+    vocabulary size when the matrix was built."""
+    __tracebackhide__ = True
+    dense = lookup_oracle(matrix, np.arange(width), regime)
+    defaults = lookup_oracle(matrix, [-1], regime)[:, 0]
+    expected = lookup_oracle(matrix, probe_ids, regime)
+    assert_bitwise(matrix.gather(probe_ids, regime), expected, "gather")
+    assert_bitwise(
+        matrix.gather_rows(rows, probe_ids, regime), expected[rows],
+        "gather_rows",
+    )
+    assert_bitwise(matrix.column_max(regime), dense.max(axis=0), "column_max")
+    assert_bitwise(
+        matrix.row_max(regime),
+        np.maximum(dense.max(axis=1), defaults),
+        "row_max",
+    )
+    colmax = matrix.groups.colmax(regime)
+    for group, members in enumerate(matrix.groups.rows):
+        assert_bitwise(
+            colmax[group], dense[members].max(axis=0), f"group {group}"
+        )
+
+
+#: Entry values: exact zeros and ones beside arbitrary probabilities.
+VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+    st.floats(min_value=1e-9, max_value=1.0),
+)
+
+
+@st.composite
+def summary_sets(draw):
+    """A random plain or shrunk summary set over one small vocabulary."""
+    width = draw(st.integers(min_value=1, max_value=24))
+    vocab = Vocabulary(f"w{i}" for i in range(width))
+
+    def regime():
+        ids = sorted(draw(st.sets(st.integers(0, width - 1), max_size=width)))
+        values = [draw(VALUES) for _ in ids]
+        return np.array(ids, dtype=np.int64), np.array(values)
+
+    shrunk = draw(st.booleans())
+    summaries = {}
+    for index in range(draw(st.integers(min_value=1, max_value=7))):
+        df, tf = regime(), regime()
+        plain = ContentSummary(10.0 + index, df, tf, vocab=vocab)
+        if shrunk:
+            # A zero floor weight gives a shrunk row a zero default.
+            lambdas = (draw(st.sampled_from([0.0, 0.2, 0.5])), 0.5)
+            tf_lambdas = (draw(st.sampled_from([0.0, 0.3])), 0.7)
+            plain = ShrunkSummary(
+                plain.size, df, tf, lambdas, tf_lambdas, ("uniform", "db"),
+                1.0 / width, plain, vocab=vocab,
+            )
+        summaries[f"db{index}"] = plain
+    labels = [(draw(st.sampled_from("ab")),) for _ in summaries]
+    return vocab, summaries, labels
+
+
+class TestColumnStoreOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(cell=summary_sets(), data=st.data())
+    def test_store_matches_scored_lookup(self, cell, data):
+        vocab, summaries, labels = cell
+        width = len(vocab)
+        matrix = SummarySetMatrix(summaries, labels=labels)
+        if data.draw(st.booleans()):
+            # The vocabulary grows after the build: the new ids lie past
+            # the frozen width and read every row's default.
+            vocab.intern_many(["late0", "late1"])
+        probe_ids = data.draw(
+            st.lists(st.integers(-1, len(vocab) + 1), max_size=6)
+        )
+        rows = data.draw(
+            st.lists(st.integers(0, len(summaries) - 1), max_size=5)
+        )
+        for regime in ("df", "tf"):
+            assert_store_matches_oracle(
+                matrix, regime, width, probe_ids, np.array(rows, dtype=np.int64)
+            )
+
+    def test_shrunk_store_keeps_support_zeros_and_floor(self):
+        vocab = Vocabulary(f"w{i}" for i in range(6))
+        df = (np.array([0, 1, 2]), np.array([0.5, 0.0, 0.25]))
+        tf = (np.array([0, 4]), np.array([0.75, 0.0]))
+        base = ContentSummary(4.0, df, tf, vocab=vocab)
+        shrunk = ShrunkSummary(
+            4.0, df, tf, (0.5, 0.5), (0.25, 0.75), ("uniform", "db"),
+            1.0 / 6, base, vocab=vocab,
+        )
+        matrix = SummarySetMatrix({"plain": base, "shrunk": shrunk})
+        ids = np.array([-1, 0, 1, 2, 3, 4, 5, 6])
+        floor = 0.25 / 6
+        # tf: ids 1 and 2 are df support without tf mass (0, not the
+        # floor); id 4's zero tf entry lies outside the support (floor).
+        np.testing.assert_array_equal(
+            matrix.gather(ids, "tf")[1],
+            [floor, 0.75, 0.0, 0.0, floor, floor, floor, floor],
+        )
+        np.testing.assert_array_equal(
+            matrix.gather(ids, "tf")[0],
+            [0.0, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        )
+        assert_store_matches_oracle(matrix, "tf", 6, ids, np.array([1, 0]))
+        assert_store_matches_oracle(matrix, "df", 6, ids, np.array([1]))

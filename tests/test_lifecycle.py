@@ -201,20 +201,34 @@ class TestBitIdentity:
             )
         _assert_verified(third)
 
-    def test_matrix_rows_seeded_from_previous_snapshot(self):
+    def test_post_swap_store_equals_fresh_build(self):
         previous = _metasearcher()
-        # Build the previous cell's engines so there is something to seed.
         previous.select(["gen000"], algorithm="cori", strategy="plain")
-        updater = CellUpdater(previous)
-        metasearcher, _ = updater.apply(
-            [{"op": "remove", "name": "db04"}], previous=previous
+        metasearcher, _ = CellUpdater(previous).apply(
+            [{"op": "remove", "name": "db04"}]
         )
-        metasearcher.select(["gen000"], algorithm="cori", strategy="plain")
-        reused = [
-            matrix.reused_rows
-            for matrix in metasearcher.engine_matrices().values()
-        ]
-        assert reused and max(reused) > 0
+        summaries = metasearcher.builder.database_summaries()
+        classifications = metasearcher.builder.database_classifications()
+        fresh = Metasearcher(metasearcher.hierarchy, summaries, classifications)
+        for searcher in (metasearcher, fresh):
+            for algorithm in ("cori", "lm"):
+                for strategy in ("plain", "universal", "shrinkage"):
+                    searcher.select(
+                        ["gen000", "gen001"], algorithm=algorithm,
+                        strategy=strategy, k=3, prune=True,
+                    )
+        theirs_by_role = fresh.engine_matrices()
+        assert set(metasearcher.engine_matrices()) == set(theirs_by_role)
+        for role, matrix in metasearcher.engine_matrices().items():
+            ours = matrix.export_arrays()
+            theirs = theirs_by_role[role].export_arrays()
+            assert sorted(ours) == sorted(theirs), role
+            assert {"rows.df", "rows.tf", "groupmax.tf"} <= set(ours), role
+            for field, array in ours.items():
+                assert array.dtype == theirs[field].dtype, (role, field)
+                assert array.tobytes() == theirs[field].tobytes(), (
+                    role, field
+                )
         _assert_verified(metasearcher)
 
     def test_failed_op_leaves_updater_untouched(self):

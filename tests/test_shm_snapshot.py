@@ -5,8 +5,9 @@ published segment by name — mapping the publisher's score matrices
 through the manifest, digest-verified — serves results bit-identical to
 the in-process snapshot the segment was packed from, for every
 algorithm and strategy, on in-vocabulary and out-of-vocabulary queries
-alike. Plus the integrity half: tampered or truncated segments are
-rejected loudly, and no test leaves an orphaned ``/dev/shm`` entry.
+alike. Plus the integrity half: tampered or truncated segments, and
+column stores that arrive incomplete or malformed, are rejected loudly,
+and no test leaves an orphaned ``/dev/shm`` entry.
 """
 
 import glob
@@ -101,7 +102,7 @@ class TestPackAttachRoundTrip:
     def test_arrays_round_trip_bitwise(self):
         rng = np.random.default_rng(7)
         arrays = {
-            "a/dense.df": rng.random((5, 64)),
+            "a/values.df": rng.random((5, 64)),
             "a/defaults.df": rng.random(5),
             "b/present": rng.random((3, 64)) > 0.5,
             "b/cw": rng.random(3),
@@ -124,7 +125,7 @@ class TestPackAttachRoundTrip:
 
     def test_digest_tamper_rejected(self):
         manifest, segment = pack_and_cleanup(
-            {"m/dense.df": np.arange(32, dtype=np.float64)}
+            {"m/values.df": np.arange(32, dtype=np.float64)}
         )
         try:
             tampered = dict(manifest)
@@ -137,7 +138,7 @@ class TestPackAttachRoundTrip:
 
     def test_truncation_rejected(self):
         manifest, segment = pack_and_cleanup(
-            {"m/dense.df": np.arange(32, dtype=np.float64)}
+            {"m/values.df": np.arange(32, dtype=np.float64)}
         )
         try:
             lying = dict(manifest)
@@ -193,7 +194,8 @@ class TestWorkerAttachedSnapshotBitIdentity:
             assert child.exitcode == 0
 
             # Bitwise: every score, every selected flag, every shared
-            # buffer (dense scores, floors, presence, cw), every lambda.
+            # buffer (column stores, defaults, bounds, presence, cw),
+            # every lambda.
             assert observed["outcomes"] == expected["outcomes"]
             assert observed["array_digests"] == expected["array_digests"]
             assert observed["lambdas"] == expected["lambdas"]
@@ -232,7 +234,7 @@ class TestBoundArraysInSnapshot:
         try:
             # Flip one byte inside the bound array's own extent: the
             # segment digest must catch corruption of bounds, not just
-            # of the dense score matrices.
+            # of the column stores' entries.
             offset = manifest["arrays"][key]["offset"]
             segment.buf[offset] ^= 0xFF
             with pytest.raises(shm.SegmentIntegrityError):
@@ -266,6 +268,112 @@ class TestBoundArraysInSnapshot:
                     assert ours.candidates_scored == theirs.candidates_scored
         finally:
             adopted.close()
+            segment.close()
+            segment.unlink()
+
+
+def _store_export():
+    """A warmed plain matrix's df store, as copies to tamper with, and a
+    fresh matrix to adopt them into."""
+    publisher = _metasearcher()
+    publisher.select(["gen000"], algorithm="bgloss", strategy="plain")
+    arrays = {
+        key: np.array(array)
+        for key, array in
+        publisher.engine_matrices()["set:plain"].export_arrays().items()
+        if key.endswith(".df")
+    }
+    adopter = _metasearcher()
+    adopter.ensure_engines({"set:plain"})
+    return arrays, adopter.engine_matrices()["set:plain"]
+
+
+def _decreasing(indptr):
+    # Lift one inner bound above its successor; the ends stay put.
+    indptr = indptr.copy()
+    inner = int(np.flatnonzero(indptr[1:-1] < indptr[-1])[0]) + 1
+    indptr[inner] = indptr[-1] + 1
+    return indptr
+
+
+def _first_row(rows, row):
+    rows = rows.copy()
+    rows[0] = row
+    return rows
+
+
+#: case -> (the arrays to replace, computed from the export; None drops
+#: one), and the message ``adopt_arrays`` must raise.
+MALFORMED = {
+    "indptr-length": (
+        lambda a: {"indptr.df": a["indptr.df"][:-1]}, "indptr.df"
+    ),
+    "indptr-decreasing": (
+        lambda a: {"indptr.df": _decreasing(a["indptr.df"])},
+        "never decrease",
+    ),
+    "indptr-past-entries": (
+        lambda a: {"rows.df": a["rows.df"][:-1],
+                   "values.df": a["values.df"][:-1]},
+        "entry count",
+    ),
+    "lengths-differ": (
+        lambda a: {"values.df": a["values.df"][:-1]}, "holds"
+    ),
+    "rows-dtype": (
+        lambda a: {"rows.df": a["rows.df"].astype(np.int64)}, "rows.df"
+    ),
+    "values-dtype": (
+        lambda a: {"values.df": a["values.df"].astype(np.float32)},
+        "values.df",
+    ),
+    "row-past-end": (
+        lambda a: {"rows.df": _first_row(a["rows.df"], len(a["defaults.df"]))},
+        "outside",
+    ),
+    "row-negative": (
+        lambda a: {"rows.df": _first_row(a["rows.df"], -1)}, "outside"
+    ),
+    "no-defaults": (lambda a: {"defaults.df": None}, "defaults.df"),
+}
+
+
+class TestMalformedStoreRejected:
+    """``adopt_arrays`` fails closed on a store that cannot be right."""
+
+    def test_well_formed_store_adopted(self):
+        arrays, matrix = _store_export()
+        matrix.adopt_arrays(arrays)
+        assert matrix.store("df").rows is arrays["rows.df"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_store_rejected(self, case):
+        arrays, matrix = _store_export()
+        replace, message = MALFORMED[case]
+        for key, array in replace(arrays).items():
+            if array is None:
+                del arrays[key]
+            else:
+                arrays[key] = array
+        with pytest.raises(ValueError, match=message):
+            matrix.adopt_arrays(arrays)
+        # Nothing was installed: the matrix still builds its own store.
+        assert matrix.store("df").rows is not arrays.get("rows.df")
+
+    def test_dense_field_rejected(self):
+        _, matrix = _store_export()
+        with pytest.raises(ValueError, match="unknown"):
+            matrix.adopt_arrays({"dense.df": np.zeros((8, 4))})
+
+    def test_schema_2_manifest_refused(self):
+        manifest, segment = pack_and_cleanup(
+            {"set:plain/dense.df": np.zeros((8, 4), dtype=np.float64)}
+        )
+        try:
+            manifest = dict(manifest, schema=2)
+            with pytest.raises(ValueError, match="unsupported"):
+                shm.adopt_snapshot(_metasearcher(), manifest)
+        finally:
             segment.close()
             segment.unlink()
 

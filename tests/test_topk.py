@@ -28,6 +28,7 @@ from repro.selection.base import rank_databases
 from repro.selection.batch import GroupIndex, group_labels, ranked_from_arrays
 from repro.selection.hierarchical import HierarchicalSelector
 from repro.selection.metasearcher import Metasearcher
+from tests.test_batch_equivalence import lookup_oracle
 from tests.test_columnar_equivalence import _synthetic_cell
 
 ALGORITHMS = ("bgloss", "cori", "lm")
@@ -155,18 +156,22 @@ class TestRankedFromArraysK:
 class TestGroupIndex:
     def test_colmax_matches_dense_maxima(self, searcher):
         matrix = plain_matrix(searcher)
-        labels = group_labels(matrix.names, searcher.classifications)
-        index = GroupIndex(matrix, labels)
+        index = matrix.groups
+        assert index.labels == tuple(
+            sorted(set(group_labels(matrix.names, searcher.classifications)))
+        )
         assert len(index) >= 2  # the synthetic cell spans several leaves
-        dense = matrix.dense("df")
-        colmax = index.colmax("df")
-        for g, rows in enumerate(index.rows):
-            np.testing.assert_array_equal(colmax[g], dense[rows].max(axis=0))
+        width = len(matrix.vocab)
+        for regime in ("df", "tf"):
+            dense = lookup_oracle(matrix, np.arange(width), regime)
+            colmax = index.colmax(regime)
+            for g, rows in enumerate(index.rows):
+                np.testing.assert_array_equal(
+                    colmax[g], dense[rows].max(axis=0)
+                )
 
     def test_invalid_ids_bounded_by_defaults(self, searcher):
-        matrix = plain_matrix(searcher)
-        labels = group_labels(matrix.names, searcher.classifications)
-        index = GroupIndex(matrix, labels)
+        index = plain_matrix(searcher).groups
         out = index.colmax_at(np.array([-1]), "df")
         np.testing.assert_array_equal(out[:, 0], index.defaults_max("df"))
 
