@@ -82,8 +82,44 @@ def _add_cell_arguments(parser: argparse.ArgumentParser) -> None:
     _add_runtime_arguments(parser)
 
 
-def _add_admission_arguments(parser: argparse.ArgumentParser) -> None:
-    """Admission-control and latency-budget flags (serve and loadgen)."""
+def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_service_config` reads (serve and loadgen)."""
+    parser.add_argument(
+        "--k", type=int, default=10,
+        help="databases to select per query",
+    )
+    parser.add_argument(
+        "--request-timeout", type=float, default=0.5, metavar="SECONDS",
+        help="per-request budget before adaptive requests degrade to "
+        "plain scoring (<= 0 disables)",
+    )
+    parser.add_argument(
+        "--response-cache", type=int, default=1024, metavar="N",
+        help="bound on the response LRU cache",
+    )
+    parser.add_argument(
+        "--prune", action="store_true",
+        help="answer queries through the pruned exact top-k engine "
+        "(bit-identical to a full scan, sublinear candidate touch)",
+    )
+    parser.add_argument(
+        "--topk", type=int, default=None, metavar="K",
+        help="truncate returned rankings to their first K entries",
+    )
+    parser.add_argument(
+        "--strategies", metavar="LIST",
+        help="comma-separated strategies to serve (default plain,"
+        "shrinkage,universal; plain-only skips the EM shrinkage build)",
+    )
+    parser.add_argument(
+        "--slow-query-log", metavar="FILE",
+        help="append requests slower than the threshold to this JSONL "
+        "file (bounded by one rotation; REPRO_SLOW_QUERY_LOG also works)",
+    )
+    parser.add_argument(
+        "--slow-query-threshold-ms", type=float, default=100.0,
+        metavar="MS", help="slow-query log threshold in milliseconds",
+    )
     parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admit at most N concurrent selects; excess requests wait "
@@ -98,12 +134,6 @@ def _add_admission_arguments(parser: argparse.ArgumentParser) -> None:
         "--admission-timeout-ms", type=float, default=50.0, metavar="MS",
         help="longest a queued request waits for an admission slot "
         "before shedding",
-    )
-    parser.add_argument(
-        "--latency-budget", action="store_true",
-        help="pick adaptive-vs-plain per request from live strategy "
-        "p99s: degrade up front when the adaptive p99 would blow the "
-        "remaining deadline budget",
     )
 
 
@@ -511,13 +541,13 @@ def _cmd_verify_prune(args: argparse.Namespace) -> int:
 
 
 def _service_config(args: argparse.Namespace):
+    """The ServiceConfig of a command built with :func:`_add_service_arguments`."""
     from repro.serving.service import ServiceConfig
 
     extra = {}
-    strategies = getattr(args, "strategies", None)
-    if strategies:
+    if args.strategies:
         extra["strategies"] = tuple(
-            name.strip() for name in strategies.split(",") if name.strip()
+            name.strip() for name in args.strategies.split(",") if name.strip()
         )
     return ServiceConfig(
         dataset=args.dataset,
@@ -529,18 +559,13 @@ def _service_config(args: argparse.Namespace):
             None if args.request_timeout <= 0 else args.request_timeout
         ),
         response_cache_size=args.response_cache,
-        prune=bool(getattr(args, "prune", False)),
-        ranking_limit=getattr(args, "topk", None),
-        slow_query_log_path=getattr(args, "slow_query_log", None),
-        slow_query_threshold_seconds=(
-            getattr(args, "slow_query_threshold_ms", 100.0) / 1000.0
-        ),
-        max_inflight=getattr(args, "max_inflight", None),
-        admission_queue=getattr(args, "admission_queue", 16),
-        admission_timeout_seconds=(
-            getattr(args, "admission_timeout_ms", 50.0) / 1000.0
-        ),
-        latency_budget=bool(getattr(args, "latency_budget", False)),
+        prune=args.prune,
+        ranking_limit=args.topk,
+        slow_query_log_path=args.slow_query_log,
+        slow_query_threshold_seconds=args.slow_query_threshold_ms / 1000.0,
+        max_inflight=args.max_inflight,
+        admission_queue=args.admission_queue,
+        admission_timeout_seconds=args.admission_timeout_ms / 1000.0,
         **extra,
     )
 
@@ -574,7 +599,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             verbose=args.verbose,
-            reuseport=args.reuseport,
         )
         pool.start()
         # SIGTERM must unwind through the finally below — the default
@@ -758,7 +782,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.serving import loadgen
 
     pool = None
-    cluster = None
     vocabulary = None
     count_requests = None
     service_obj = None
@@ -778,41 +801,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             )
             label = args.url
             databases = health.get("databases", 0)
-        elif args.cluster > 0:
-            # Scatter-gather over an in-process sharded cluster: the
-            # same cell partitioned N ways, merged bit-identically (see
-            # repro cluster / DESIGN.md §5i). Clusters serve the
-            # fixed-set strategies only, so the shrinkage defaults are
-            # swapped for plain rather than tripping the validator.
-            from repro.serving.cluster import Cluster, ClusterConfig
-
-            _configure_harness(args)
-            if args.strategy == "shrinkage":
-                print(
-                    "loadgen: clusters serve fixed-set strategies; "
-                    "using strategy=plain"
-                )
-                args.strategy = "plain"
-            if not args.strategies:
-                args.strategies = args.strategy
-            cluster = Cluster.from_harness(
-                _service_config(args),
-                ClusterConfig(shards=args.cluster),
-            )
-            cluster.start()
-            frontend = cluster.frontend
-            vocabulary = loadgen.service_vocabulary(cluster)
-            select = (
-                lambda terms, algorithm, strategy, k: frontend.select(
-                    terms, algorithm=algorithm, strategy=strategy, k=k
-                )
-            )
-            label = f"in-process cluster ({args.cluster} shards)"
-            databases = len(cluster.metasearcher.sampled_summaries)
-            victim = list(cluster.metasearcher.sampled_summaries)[-1]
-            update_fn = (
-                lambda ops, verify: frontend.update(ops, verify=verify)
-            )
         elif args.workers > 0:
             # Boot a worker pool right here and drive it over HTTP — the
             # one-command way to record per-worker-count serve-load
@@ -882,8 +870,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 if update_fn is None or victim is None:
                     raise SystemExit(
                         "loadgen: mixed query/update workloads need a "
-                        "target with known database names (in-process, "
-                        "--workers, or --cluster; not --url)"
+                        "target with known database names (in-process "
+                        "or --workers; not --url)"
                     )
                 import threading
 
@@ -928,8 +916,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     finally:
         if pool is not None:
             pool.shutdown()
-        if cluster is not None:
-            cluster.shutdown()
     print(f"target: {label} ({databases} databases)")
     if spec is not None:
         print(f"workload: {spec.describe()}")
@@ -996,11 +982,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "kind": "serve-workload" if spec is not None else "serve-load",
             "workload": spec.describe() if spec is not None else "distinct",
             "target": "http" if args.url else (
-                "cluster" if args.cluster > 0 else (
-                    "workers" if args.workers > 0 else "in-process"
-                )
+                "workers" if args.workers > 0 else "in-process"
             ),
-            "cluster_shards": args.cluster if not args.url else 0,
             "workers": args.workers if not args.url else 0,
             "concurrency": args.concurrency,
             "dataset": args.dataset,
@@ -1055,252 +1038,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         or (sweep is not None and sweep["wrong"] > 0)
     )
     return 1 if failed else 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import json as json_module
-    import threading
-    import time
-
-    from repro.evaluation import trajectory as trajectory_mod
-    from repro.serving import loadgen
-    from repro.serving.cluster import (
-        Cluster,
-        ClusterConfig,
-        verify_against_single_cell,
-    )
-
-    _configure_harness(args)
-    if not args.strategies:
-        args.strategies = args.strategy
-    if args.failover_drill and args.replicas < 1:
-        print("cluster: --failover-drill needs --replicas >= 1")
-        return 2
-    config = _service_config(args)
-    cluster_config = ClusterConfig(
-        shards=args.shards,
-        replicas=args.replicas,
-        vnodes=args.vnodes,
-        shard_deadline_seconds=(
-            None
-            if args.shard_deadline_ms <= 0
-            else args.shard_deadline_ms / 1000.0
-        ),
-        workers=args.workers,
-    )
-    in_process = not args.serve and args.workers == 0
-    print(
-        f"cluster: preloading {args.dataset}/{args.sampler}"
-        f"{'/fe' if args.freq_est else ''} at scale={args.scale}; "
-        f"{args.shards} shards, {args.replicas} replicas"
-        f"{f', {args.workers} workers/shard' if args.workers else ''} "
-        f"({'in-process' if in_process else 'forked'}) ...",
-        flush=True,
-    )
-    exit_code = 0
-    with Cluster.from_harness(
-        config,
-        cluster_config,
-        in_process=in_process,
-        host=args.host,
-        verbose=args.verbose,
-    ) as cluster:
-        frontend = cluster.frontend
-        sizes = [len(part) for part in cluster.partitions]
-        print(
-            f"cluster: ready — shard sizes {sizes} "
-            f"({sum(sizes)} databases)",
-            flush=True,
-        )
-        if not in_process:
-            for group in cluster.groups:
-                urls = [target.base_url for target in group.targets]
-                print(
-                    f"cluster: shard {group.shard_index} endpoints {urls}"
-                )
-        vocabulary = loadgen.service_vocabulary(cluster)
-
-        verify_report = None
-        if args.verify > 0:
-            queries = loadgen.generate_queries(
-                vocabulary, args.verify, seed=args.seed
-            )
-            verify_report = verify_against_single_cell(
-                frontend,
-                cluster.metasearcher,
-                queries,
-                strategies=config.strategies,
-                k=args.k,
-            )
-            verdict = "OK" if verify_report["ok"] else "MISMATCH"
-            print(
-                f"cluster verify: {verify_report['selections_checked']} "
-                "scatter-gather selections vs the single cell — "
-                f"{len(verify_report['mismatches'])} mismatches [{verdict}]"
-            )
-            for mismatch in verify_report["mismatches"][:5]:
-                print(f"  - {json_module.dumps(mismatch)}")
-            if not verify_report["ok"]:
-                exit_code = 1
-
-        summary = None
-        drill: dict = {}
-        wrong = 0
-        partial = 0
-        if args.loadgen > 0:
-            queries = loadgen.generate_queries(
-                vocabulary, args.loadgen, seed=args.seed + 1
-            )
-            counts_lock = threading.Lock()
-
-            if args.failover_drill:
-                # The drill's bar is *zero wrong responses*, not zero
-                # degraded ones: while the primary dies, every
-                # non-partial merged response is checked against the
-                # single cell; partial responses (the kill-to-promote
-                # window) are flagged, counted and reported.
-                reference = cluster.metasearcher
-                reference.select(
-                    ["warm"],
-                    algorithm=args.algorithm,
-                    strategy=args.strategy,
-                    k=args.k,
-                )
-
-                def select(terms, algorithm, strategy, k):
-                    nonlocal wrong, partial
-                    response = frontend.select(
-                        terms, algorithm=algorithm, strategy=strategy, k=k
-                    )
-                    if response.get("partial"):
-                        with counts_lock:
-                            partial += 1
-                        return response
-                    # The serving path scores the canonical (sorted,
-                    # deduplicated) term set; the raw reference must
-                    # fold the same order or float non-associativity
-                    # reads as a wrong response.
-                    from repro.serving.service import (
-                        canonical_terms,
-                        normalize_query,
-                    )
-
-                    outcome = reference.select(
-                        list(canonical_terms(normalize_query(list(terms)))),
-                        algorithm=algorithm,
-                        strategy=strategy,
-                        k=k,
-                    )
-                    if list(response["selected"]) != list(outcome.names):
-                        with counts_lock:
-                            wrong += 1
-                    return response
-
-                def chaos():
-                    time.sleep(args.drill_after)
-                    drill["killed"] = cluster.kill_active(args.drill_shard)
-                    drill["promotion"] = cluster.promote(args.drill_shard)
-
-                saboteur = threading.Thread(target=chaos)
-                saboteur.start()
-            else:
-
-                def select(terms, algorithm, strategy, k):
-                    nonlocal partial
-                    response = frontend.select(
-                        terms, algorithm=algorithm, strategy=strategy, k=k
-                    )
-                    if response.get("partial"):
-                        with counts_lock:
-                            partial += 1
-                    return response
-
-            summary = loadgen.run_load(
-                select,
-                queries,
-                args.algorithm,
-                args.strategy,
-                args.k,
-                concurrency=args.concurrency,
-            )
-            if args.failover_drill:
-                saboteur.join()
-            print(loadgen.format_summary(summary))
-            print(f"cluster: partial responses {partial}")
-            if args.failover_drill:
-                killed = drill["killed"]
-                promotion = drill["promotion"]
-                print(
-                    f"cluster failover: killed shard {killed['shard']} "
-                    f"target {killed['target']} mid-run; promoted replica "
-                    f"{promotion['promoted']} in "
-                    f"{promotion['promotion_seconds'] * 1000:.1f}ms "
-                    f"(replayed {promotion['replayed_batches']} journal "
-                    f"batches); wrong responses {wrong} "
-                    f"[{'OK' if wrong == 0 else 'FAIL'}]"
-                )
-                if wrong:
-                    exit_code = 1
-
-        if args.trajectory:
-            context = {
-                "kind": "serve-cluster",
-                "shards": args.shards,
-                "replicas": args.replicas,
-                "workers": args.workers,
-                "mode": "in-process" if in_process else "forked",
-                "dataset": args.dataset,
-                "sampler": args.sampler,
-                "frequency_estimation": args.freq_est,
-                "scale": args.scale,
-                "algorithm": args.algorithm,
-                "strategy": args.strategy,
-                "requests": args.loadgen,
-                "k": args.k,
-                "concurrency": args.concurrency,
-                "prune": bool(args.prune),
-                "served_strategies": args.strategies,
-                "failover_drill": bool(args.failover_drill),
-            }
-            wall = summary["wall_seconds"] if summary else 0.0
-            record = trajectory_mod.build_record(context, wall)
-            if summary is not None:
-                record["load"] = {
-                    key: value
-                    for key, value in summary.items()
-                    if isinstance(value, (int, float))
-                }
-                record["load"]["partial_responses"] = partial
-            if verify_report is not None:
-                record["verify"] = {
-                    "selections_checked": verify_report[
-                        "selections_checked"
-                    ],
-                    "mismatches": len(verify_report["mismatches"]),
-                }
-            if drill:
-                record["failover"] = {
-                    "promotion_seconds": drill["promotion"][
-                        "promotion_seconds"
-                    ],
-                    "replayed_batches": drill["promotion"][
-                        "replayed_batches"
-                    ],
-                    "wrong_responses": wrong,
-                }
-            trajectory_mod.append_and_compare(args.trajectory, record)
-
-        if args.serve:
-            print(
-                "cluster: serving until interrupted (ctrl-c to stop)",
-                flush=True,
-            )
-            try:
-                while True:
-                    time.sleep(1.0)
-            except KeyboardInterrupt:
-                print("cluster: shutting down", flush=True)
-    return exit_code
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
@@ -1537,50 +1274,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8642,
         help="listen port (0 picks a free one)",
     )
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument(
-        "--request-timeout", type=float, default=0.5, metavar="SECONDS",
-        help="per-request budget before adaptive requests degrade to "
-        "plain scoring (<= 0 disables)",
-    )
-    serve.add_argument(
-        "--response-cache", type=int, default=1024, metavar="N",
-        help="bound on the response LRU cache",
-    )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="serve from N forked worker processes sharing one "
         "shared-memory snapshot (1 = classic single process)",
     )
-    serve.add_argument(
-        "--reuseport", action="store_true",
-        help="give each worker its own SO_REUSEPORT acceptor instead of "
-        "one shared listening socket",
-    )
-    serve.add_argument(
-        "--prune", action="store_true",
-        help="answer queries through the pruned exact top-k engine "
-        "(bit-identical to a full scan, sublinear candidate touch)",
-    )
-    serve.add_argument(
-        "--topk", type=int, default=None, metavar="K",
-        help="truncate returned rankings to their first K entries",
-    )
-    serve.add_argument(
-        "--strategies", metavar="LIST",
-        help="comma-separated strategies to serve (default plain,"
-        "shrinkage,universal; plain-only skips the EM shrinkage build)",
-    )
-    serve.add_argument(
-        "--slow-query-log", metavar="FILE",
-        help="append requests slower than the threshold to this JSONL "
-        "file (bounded by one rotation; REPRO_SLOW_QUERY_LOG also works)",
-    )
-    serve.add_argument(
-        "--slow-query-threshold-ms", type=float, default=100.0,
-        metavar="MS", help="slow-query log threshold in milliseconds",
-    )
-    _add_admission_arguments(serve)
+    _add_service_arguments(serve)
     serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
@@ -1677,7 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("plain", "shrinkage", "universal"),
         default="shrinkage",
     )
-    loadgen.add_argument("--k", type=int, default=10)
     loadgen.add_argument("--seed", type=int, default=0)
     loadgen.add_argument("--timeout", type=float, default=10.0)
     loadgen.add_argument(
@@ -1686,42 +1384,11 @@ def build_parser() -> argparse.ArgumentParser:
         "HTTP (0 = call the service in-process; ignored with --url)",
     )
     loadgen.add_argument(
-        "--cluster", type=int, default=0, metavar="N",
-        help="scatter-gather over an in-process N-shard cluster of the "
-        "same cell (0 = unsharded; ignored with --url)",
-    )
-    loadgen.add_argument(
         "--concurrency", type=int, default=1, metavar="N",
         help="issue queries from N client threads (needed to saturate "
         "a multi-worker server)",
     )
-    loadgen.add_argument(
-        "--request-timeout", type=float, default=0.5, metavar="SECONDS",
-        help="per-request degradation budget for the in-process service",
-    )
-    loadgen.add_argument(
-        "--response-cache", type=int, default=1024, metavar="N"
-    )
-    loadgen.add_argument(
-        "--prune", action="store_true",
-        help="serve through the pruned exact top-k engine",
-    )
-    loadgen.add_argument(
-        "--topk", type=int, default=None, metavar="K",
-        help="truncate returned rankings to their first K entries",
-    )
-    loadgen.add_argument(
-        "--strategies", metavar="LIST",
-        help="comma-separated strategies the booted service serves",
-    )
-    loadgen.add_argument(
-        "--slow-query-log", metavar="FILE",
-        help="slow-query JSONL log for the booted service",
-    )
-    loadgen.add_argument(
-        "--slow-query-threshold-ms", type=float, default=100.0, metavar="MS"
-    )
-    _add_admission_arguments(loadgen)
+    _add_service_arguments(loadgen)
     loadgen.add_argument(
         "--workload", metavar="SPEC",
         help="traffic model instead of the distinct stream: "
@@ -1748,104 +1415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on latency regressions",
     )
     loadgen.set_defaults(handler=_cmd_loadgen)
-
-    cluster = commands.add_parser(
-        "cluster",
-        help="sharded scatter-gather serving over one partitioned cell",
-    )
-    _add_cell_arguments(cluster)
-    cluster.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="partition the cell across N shards by consistent hashing",
-    )
-    cluster.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="journal-replicated standby replicas per shard",
-    )
-    cluster.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes per shard primary (forks the cluster: "
-        "each primary becomes a shared-memory WorkerPool cell)",
-    )
-    cluster.add_argument(
-        "--vnodes", type=int, default=64, metavar="N",
-        help="virtual nodes per shard on the hash ring",
-    )
-    cluster.add_argument(
-        "--shard-deadline-ms", type=float, default=0.0, metavar="MS",
-        help="scatter fan-in deadline per request; a shard missing it "
-        "degrades the response to partial (<= 0 waits forever)",
-    )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument(
-        "--algorithm", choices=("bgloss", "cori", "lm"), default="cori"
-    )
-    cluster.add_argument(
-        "--strategy", choices=("plain", "universal"), default="plain",
-        help="strategy for --loadgen traffic (clusters serve the "
-        "fixed-set strategies only)",
-    )
-    cluster.add_argument("--k", type=int, default=10)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--verify", type=int, default=25, metavar="N",
-        help="check N scatter-gather selections bit-identical to the "
-        "single cell, every algorithm and served strategy (0 skips)",
-    )
-    cluster.add_argument(
-        "--loadgen", type=int, default=0, metavar="N",
-        help="issue N distinct queries through the front end",
-    )
-    cluster.add_argument(
-        "--concurrency", type=int, default=1, metavar="N",
-        help="loadgen client threads",
-    )
-    cluster.add_argument(
-        "--failover-drill", action="store_true",
-        help="kill the drill shard's primary mid-loadgen, promote its "
-        "replica via journal catch-up, and prove zero wrong responses",
-    )
-    cluster.add_argument(
-        "--drill-shard", type=int, default=0, metavar="S",
-        help="which shard the failover drill crashes",
-    )
-    cluster.add_argument(
-        "--drill-after", type=float, default=0.3, metavar="SECONDS",
-        help="delay before the drill kills the primary",
-    )
-    cluster.add_argument(
-        "--serve", action="store_true",
-        help="fork HTTP shard nodes and keep serving until interrupted "
-        "(endpoints are printed in shard order for ClusterClient)",
-    )
-    cluster.add_argument(
-        "--request-timeout", type=float, default=0.5, metavar="SECONDS"
-    )
-    cluster.add_argument(
-        "--response-cache", type=int, default=1024, metavar="N"
-    )
-    cluster.add_argument(
-        "--prune", action="store_true",
-        help="answer through each shard's pruned exact top-k engine",
-    )
-    cluster.add_argument(
-        "--topk", type=int, default=None, metavar="K",
-        help="truncate merged rankings to their first K entries",
-    )
-    cluster.add_argument(
-        "--strategies", metavar="LIST",
-        help="comma-separated strategies to serve (plain, universal; "
-        "defaults to --strategy)",
-    )
-    cluster.add_argument(
-        "--verbose", action="store_true", help="log shard HTTP requests"
-    )
-    cluster.add_argument(
-        "--trajectory", metavar="FILE",
-        help="append a serve-cluster record (scatter-gather latency "
-        "percentiles plus failover promotion latency)",
-    )
-    cluster.set_defaults(handler=_cmd_cluster)
 
     dashboard = commands.add_parser(
         "dashboard",

@@ -175,11 +175,10 @@ class DatabaseScorer(ABC):
         """Set-level corpus statistics the kernel reads, or ``None``.
 
         Without ``mix`` they come from this scorer's :meth:`prepare` (the
-        fixed set it was prepared on — or, for a cluster shard, the whole
-        universe); with ``mix`` (a per-query plain/shrunk row mix, see
-        :class:`repro.selection.batch.MixedSet`) they are recomputed over
-        the mixed set, exactly as a fresh ``prepare`` on it would. Only
-        CORI reads any (cf, m and mcw).
+        fixed set it was prepared on); with ``mix`` (a per-query
+        plain/shrunk row mix, see :class:`repro.selection.batch.MixedSet`)
+        they are recomputed over the mixed set, exactly as a fresh
+        ``prepare`` on it would. Only CORI reads any (cf, m and mcw).
         """
         return None
 

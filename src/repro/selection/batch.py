@@ -617,8 +617,7 @@ def ranked_from_arrays(
 class FixedSet:
     """One summary set's matrix as the rows of a scan (plain or universal).
 
-    Corpus statistics come from the scorer's own ``prepare`` — which is
-    how universe-wide statistics reach a cluster shard's rows.
+    Corpus statistics come from the scorer's own ``prepare`` on the set.
     """
 
     def __init__(self, matrix: SummarySetMatrix) -> None:
@@ -811,9 +810,8 @@ def full_scan(
 class BatchSelectionEngine:
     """Full scan over one fixed summary set.
 
-    ``scorer`` must be prepared on exactly this set (or, for a cluster
-    shard, on the universe the set is a part of): its corpus statistics
-    are part of the score.
+    ``scorer`` must be prepared on exactly this set: its corpus
+    statistics are part of the score.
     """
 
     def __init__(self, scorer: DatabaseScorer, matrix: SummarySetMatrix) -> None:

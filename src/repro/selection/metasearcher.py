@@ -134,12 +134,8 @@ class Metasearcher:
     (``builder.vocab``) when it is installed, so the plain, universal and
     mixed sets always stack into score matrices; ranking never falls back
     to the serial :func:`~repro.selection.base.rank_databases`, which
-    stays the oracle the tests compare against. ``prepared_scorers``
-    supplies fixed-set corpus statistics from outside, keyed by
-    (algorithm, ``"plain"``/``"universal"``): a cluster shard passes
-    scorers prepared on the whole universe, so its scores equal the
-    single cell's. Without an entry, a fresh scorer is prepared on the
-    set itself.
+    stays the oracle the tests compare against. Each fixed-set scorer is
+    prepared on the set it ranks.
     """
 
     def __init__(
@@ -150,7 +146,6 @@ class Metasearcher:
         shrinkage_config: ShrinkageConfig | None = None,
         adaptive_config: AdaptiveConfig | None = None,
         builder: CategorySummaryBuilder | None = None,
-        prepared_scorers: Mapping[tuple[str, str], DatabaseScorer] | None = None,
     ) -> None:
         self.hierarchy = hierarchy
         self.classifications = dict(classifications)
@@ -167,7 +162,6 @@ class Metasearcher:
             name: rehome_summary(summary, self.builder.vocab)
             for name, summary in sampled_summaries.items()
         }
-        self.prepared_scorers = dict(prepared_scorers or {})
         self._shrunk: dict[str, ShrunkSummary] | None = None
         self._moment_caches: dict[str, LruCache] = {}
         #: One engine record per (algorithm, strategy), built on first use.
@@ -416,6 +410,8 @@ class Metasearcher:
         return engines
 
     def _build_engines(self, algorithm: str, strategy: str) -> _Engines:
+        from repro.evaluation.instrument import span
+
         if strategy == SelectionStrategy.SHRINKAGE.value:
             plain = self._set_matrix("plain")
             shrunk = self._set_matrix("shrunk")
@@ -427,21 +423,15 @@ class Metasearcher:
             )
         plain_set = strategy == SelectionStrategy.PLAIN.value
         matrix = self._set_matrix("plain" if plain_set else "shrunk")
-        scorer = self.prepared_scorers.get((algorithm, strategy))
-        if scorer is None:
-            from repro.evaluation.instrument import span
-
-            summaries = (
-                self.sampled_summaries if plain_set else self.shrunk_summaries
-            )
-            scorer = self.make_scorer(algorithm)
-            with span(
-                "scorer.prepare",
-                algorithm=algorithm,
-                summary_set=strategy,
-                databases=len(summaries),
-            ):
-                scorer.prepare(summaries)
+        summaries = self.sampled_summaries if plain_set else self.shrunk_summaries
+        scorer = self.make_scorer(algorithm)
+        with span(
+            "scorer.prepare",
+            algorithm=algorithm,
+            summary_set=strategy,
+            databases=len(summaries),
+        ):
+            scorer.prepare(summaries)
         return _Engines(
             scorer,
             BatchSelectionEngine(scorer, matrix),
@@ -500,98 +490,3 @@ class Metasearcher:
         )
         return decisions
 
-
-# -- scatter-gather merge ------------------------------------------------------
-
-
-def merge_shard_outcomes(
-    outcomes: Sequence[SelectionOutcome], k: int
-) -> SelectionOutcome:
-    """Merge disjoint per-shard selection outcomes into the global outcome.
-
-    Exactness argument (the scatter-gather contract of
-    :mod:`repro.serving.cluster`): shard scores are bit-identical to the
-    single-cell scores when every shard scores with *globally* prepared
-    corpus statistics, and the shards partition the database set. The
-    single-cell ranking sorts by ``(-score, name)`` (see
-    :func:`repro.selection.base.rank_databases`); concatenating the
-    disjoint shard score maps and sorting by the same key therefore
-    reproduces the global order entry for entry, ties included.
-
-    Per-shard ``k' = k`` suffices for the selected set: take any database
-    that is globally among the selected top ``k``. Within its own shard it
-    is preceded only by shard-mates that also precede it globally, so it
-    ranks at position <= k among its shard's selected entries and appears
-    in that shard's ``names`` list. Hence the global ``names`` is exactly
-    the first ``k`` merged entries that appear in *some* shard's ``names``
-    — which is what this function computes.
-
-    ``decisions`` merge only when every shard reports them;
-    ``candidates_scored`` sums per-shard counts when every shard pruned
-    (mirroring the single-cell "None means full scan" convention).
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    scores: dict[str, float] = {}
-    shard_selected: set[str] = set()
-    for outcome in outcomes:
-        for name in outcome.scores:
-            if name in scores:
-                raise ValueError(
-                    f"shard outcomes are not disjoint: {name!r} was scored "
-                    "by more than one shard (check the partitioning)"
-                )
-        scores.update(outcome.scores)
-        shard_selected.update(outcome.names)
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    names = [name for name, _ in ordered if name in shard_selected][:k]
-
-    decisions: dict[str, AdaptiveDecision] | None = {}
-    for outcome in outcomes:
-        if outcome.decisions is None:
-            decisions = None
-            break
-        decisions.update(outcome.decisions)
-    if not outcomes:
-        decisions = None
-
-    candidates_scored: int | None = 0
-    for outcome in outcomes:
-        if outcome.candidates_scored is None:
-            candidates_scored = None
-            break
-        candidates_scored += outcome.candidates_scored
-    if not outcomes:
-        candidates_scored = None
-
-    return SelectionOutcome(
-        names=names,
-        scores=scores,
-        decisions=decisions,
-        candidates_scored=candidates_scored,
-    )
-
-
-def merge_shard_rankings(
-    rankings: Sequence[Sequence[RankedDatabase]],
-) -> list[RankedDatabase]:
-    """Concatenate disjoint shard rankings into the global ranking order.
-
-    Entries keep their per-shard ``selected`` flags (score strictly above
-    floor — a per-database property, identical under global statistics);
-    the merged list is sorted by the single-cell sort key ``(-score,
-    name)``, so it equals the single-cell ranking entry for entry.
-    """
-    merged: list[RankedDatabase] = []
-    seen: set[str] = set()
-    for ranking in rankings:
-        for entry in ranking:
-            if entry.name in seen:
-                raise ValueError(
-                    f"shard rankings are not disjoint: {entry.name!r} "
-                    "appears in more than one shard"
-                )
-            seen.add(entry.name)
-            merged.append(entry)
-    merged.sort(key=lambda entry: (-entry.score, entry.name))
-    return merged

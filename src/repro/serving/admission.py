@@ -5,31 +5,19 @@ from blowing its latency budget; admission control protects the budget
 of every request *behind* it. Without it, a saturated server queues
 arrivals unboundedly: every queued request eventually runs, blows its
 deadline, and degrades — the worst of both worlds (full work done, poor
-answer returned, client long gone). The controller bounds the damage in
-two layers, both ahead of the degradation deadline:
+answer returned, client long gone).
 
-* :class:`AdmissionController` — a counting gate in front of scoring.
-  At most ``max_inflight`` requests score concurrently; up to
-  ``max_queue`` more may wait ``queue_timeout_seconds`` for a slot.
-  Everything beyond that is *shed immediately* with
-  :class:`ServiceOverloaded`, which the HTTP layer maps to
-  ``429 Too Many Requests`` + ``Retry-After``. Shedding answers the
-  client in microseconds instead of holding its connection open to
-  deliver a degraded answer late — no request is left unanswered.
-* :class:`LatencyBudgetPolicy` — chooses adaptive-vs-plain *per query*
-  from live latency percentiles. If the observed p99 of the requested
-  strategy already exceeds the request's remaining budget, the request
-  is served from the plain batched path up front (and marked
-  ``degraded``) rather than discovering the same thing by timing out
-  halfway through the adaptive loop. The percentiles come from the
-  process-wide metrics registry (``serve.handler_seconds{strategy=...}``
-  histograms), so the policy adapts to the deployment's actual speed —
-  cell size, pruning, hardware — with no tuning constants.
+:class:`AdmissionController` is a counting gate in front of scoring. At
+most ``max_inflight`` requests score concurrently; up to ``max_queue``
+more may wait ``queue_timeout_seconds`` for a slot. Everything beyond
+that is *shed immediately* with :class:`ServiceOverloaded`, which the
+HTTP layer maps to ``429 Too Many Requests`` + ``Retry-After``. Shedding
+answers the client in microseconds instead of holding its connection
+open to deliver a degraded answer late — no request is left unanswered.
 
-Both layers are optional (``ServiceConfig.max_inflight is None`` and
-``ServiceConfig.latency_budget=False`` preserve the prior behavior
-exactly) and lock-only-briefly: the controller's condition variable is
-held for counter arithmetic, never across scoring.
+The gate is optional (``ServiceConfig.max_inflight is None`` preserves
+the ungated behavior exactly) and lock-only-briefly: its condition
+variable is held for counter arithmetic, never across scoring.
 """
 
 from __future__ import annotations
@@ -125,82 +113,3 @@ class AdmissionController:
                 "max_queue": self.max_queue,
             }
 
-
-class LatencyBudgetPolicy:
-    """Serve plain up front when the strategy's live p99 blows the budget.
-
-    Reads ``serve.handler_seconds{...,strategy=S}`` histograms from the
-    metrics registry and caches the per-strategy p99 for
-    ``refresh_seconds`` (percentile extraction sorts the histogram, so
-    it must not run per-request). ``min_samples`` gates the policy until
-    the histogram says something statistically meaningful — a cold
-    process never preempts.
-    """
-
-    def __init__(
-        self,
-        refresh_seconds: float = 0.5,
-        min_samples: int = 20,
-        margin: float = 1.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.refresh_seconds = float(refresh_seconds)
-        self.min_samples = int(min_samples)
-        #: Preempt when ``p99 * margin > remaining budget``.
-        self.margin = float(margin)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._cached_at: float | None = None
-        self._p99: dict[str, float] = {}
-
-    def _refresh(self) -> None:
-        from repro.evaluation.instrument import get_instrumentation
-        from repro.serving.telemetry import split_labeled
-
-        samples: dict[str, list[float]] = {}
-        registry = get_instrumentation()
-        with registry.locked():
-            copied = {
-                name: list(values)
-                for name, values in registry.histograms.items()
-                if name.startswith("serve.handler_seconds")
-            }
-        for name, values in copied.items():
-            base, labels = split_labeled(name)
-            if base != "serve.handler_seconds":
-                continue
-            strategy = labels.get("strategy")
-            if strategy is None:
-                continue
-            if values:
-                samples.setdefault(strategy, []).extend(values)
-        p99: dict[str, float] = {}
-        for strategy, values in samples.items():
-            if len(values) >= self.min_samples:
-                ordered = sorted(values)
-                rank = max(int(0.99 * len(ordered) + 0.5) - 1, 0)
-                p99[strategy] = ordered[min(rank, len(ordered) - 1)]
-        self._p99 = p99
-
-    def p99_seconds(self, strategy: str) -> float | None:
-        """The cached live p99 for ``strategy`` (None below min_samples)."""
-        now = self._clock()
-        with self._lock:
-            if (
-                self._cached_at is None
-                or now - self._cached_at >= self.refresh_seconds
-            ):
-                self._refresh()
-                self._cached_at = now
-            return self._p99.get(strategy)
-
-    def should_preempt(
-        self, strategy: str, remaining_budget_seconds: float | None
-    ) -> bool:
-        """Whether to serve plain instead of attempting ``strategy``."""
-        if remaining_budget_seconds is None or strategy == "plain":
-            return False
-        p99 = self.p99_seconds(strategy)
-        if p99 is None:
-            return False
-        return p99 * self.margin > remaining_budget_seconds

@@ -128,72 +128,3 @@ class ServingClient:
             f"{attempts * delay:.0f}s: {last_error}"
         )
 
-
-class ClusterClient:
-    """Scatter-gather client over one serving endpoint per shard.
-
-    ``endpoints[i]`` must serve shard ``i`` of a cluster partitioned with
-    the same (shards, vnodes) hash ring — ``repro cluster`` prints the
-    endpoints in shard order. Reads fan out to every shard and merge
-    through the same exact-tie-semantics merge the cluster front end
-    uses; writes route each op to its owning shard. The heavy lifting
-    lives in :mod:`repro.serving.cluster` (imported lazily so plain
-    single-endpoint use keeps this module stdlib-only).
-    """
-
-    def __init__(
-        self,
-        endpoints: Sequence[str],
-        timeout: float = 10.0,
-        vnodes: int | None = None,
-        shard_deadline_seconds: float | None = None,
-    ) -> None:
-        if not endpoints:
-            raise ValueError("cluster client needs at least one endpoint")
-        from repro.serving.cluster import (
-            ClusterFrontend,
-            HashRing,
-            ShardGroup,
-        )
-
-        self.shards = [
-            ServingClient(endpoint, timeout) for endpoint in endpoints
-        ]
-        ring_kwargs = {} if vnodes is None else {"vnodes": vnodes}
-        self._frontend = ClusterFrontend(
-            [
-                ShardGroup(index, [client], [])
-                for index, client in enumerate(self.shards)
-            ],
-            HashRing(len(self.shards), **ring_kwargs),
-            shard_deadline_seconds=shard_deadline_seconds,
-        )
-
-    def wait_until_ready(self, attempts: int = 50, delay: float = 0.2) -> None:
-        for client in self.shards:
-            client.wait_until_ready(attempts=attempts, delay=delay)
-
-    def healthz(self) -> list[dict]:
-        return self._frontend.healthz()
-
-    def select(
-        self,
-        query: str | Sequence[str],
-        algorithm: str = "cori",
-        strategy: str = "plain",
-        k: int | None = None,
-        timeout_seconds: float | None = None,
-    ) -> dict:
-        return self._frontend.select(
-            query,
-            algorithm=algorithm,
-            strategy=strategy,
-            k=k,
-            timeout_seconds=timeout_seconds,
-        )
-
-    def update(self, ops: Sequence[dict], verify: bool = False) -> dict:
-        return self._frontend.update(ops, verify=verify)
-
-    def close(self) -> None:
-        self._frontend.close()

@@ -240,9 +240,6 @@ class CellUpdater:
         self.hierarchy = metasearcher.hierarchy
         self.shrinkage_config = metasearcher.shrinkage_config
         self.adaptive_config = metasearcher.adaptive_config
-        #: Externally prepared fixed-set scorers (a cluster shard's
-        #: universe-wide statistics) carried into every updated cell.
-        self.prepared_scorers = metasearcher.prepared_scorers
         #: Artifact store for lifecycle persistence (optional).
         self.store = store
         #: The base cell's shrunk-artifact configuration; with ``store``,
@@ -385,7 +382,6 @@ class CellUpdater:
             shrinkage_config=self.shrinkage_config,
             adaptive_config=self.adaptive_config,
             builder=working,
-            prepared_scorers=self.prepared_scorers,
         )
         metasearcher.set_shrunk_summaries(shrunk)
 
@@ -645,7 +641,6 @@ def verify_against_rebuild(
         builder=CategorySummaryBuilder(
             metasearcher.hierarchy, summaries, classifications
         ),
-        prepared_scorers=metasearcher.prepared_scorers,
     )
 
     mismatches: list[str] = []

@@ -18,12 +18,12 @@ Endpoints (all JSON):
 * ``GET /stats`` — ``{"local": ..., "pool": ...}``: this process's
   request counters, cache sizes, snapshot epoch and shm segment, plus
   the pool-wide aggregate (== local for a single-process server; the
-  dispatcher's merged cluster view under ``--workers N``). Equally
-  lock-free.
+  dispatcher's merged view of every worker under ``--workers N``).
+  Equally lock-free.
 * ``GET /metrics`` — Prometheus text exposition of the process-wide
   metrics registry (see :mod:`repro.serving.telemetry`); worker
   processes serve the dispatcher-aggregated pool registry instead, so
-  any worker reports cluster truth. Lock-free like ``/healthz`` (the
+  any worker reports the whole pool. Lock-free like ``/healthz`` (the
   registry snapshot lock is never held across scoring or updates).
 
 Every request additionally publishes per-request telemetry — a request

@@ -34,6 +34,7 @@ Design constraints (DESIGN.md §5c–§5d):
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -45,11 +46,7 @@ from repro.selection.metasearcher import (
     SelectionDeadlineExceeded,
     SelectionStrategy,
 )
-from repro.serving.admission import (
-    AdmissionController,
-    LatencyBudgetPolicy,
-    ServiceOverloaded,
-)
+from repro.serving.admission import AdmissionController, ServiceOverloaded
 from repro.serving.lifecycle import (
     CellSnapshot,
     CellUpdater,
@@ -110,11 +107,6 @@ class ServiceConfig:
     admission_timeout_seconds: float = 0.05
     #: The ``Retry-After`` hint carried on shed (429) responses.
     retry_after_seconds: float = 1.0
-    #: Choose adaptive-vs-plain per query from live p99s: when the
-    #: requested strategy's observed p99 already exceeds the request's
-    #: remaining budget, serve the plain path up front (marked degraded)
-    #: instead of timing out halfway through the adaptive loop.
-    latency_budget: bool = False
 
 
 class ServiceStats:
@@ -304,9 +296,6 @@ class SelectionService:
             )
         else:
             self._admission = None
-        self._latency_policy = (
-            LatencyBudgetPolicy() if self.config.latency_budget else None
-        )
 
     @property
     def metasearcher(self) -> Metasearcher:
@@ -532,24 +521,30 @@ class SelectionService:
             response = self._serialize(
                 snapshot, terms, algorithm, strategy, k, outcome, degraded
             )
-        # The entry records the journal revision of every database it
-        # names; the hot swap uses those to carry still-valid entries
-        # into the next snapshot (epoch-keyed invalidation, DESIGN.md
-        # §5j). Revisions are read off the live map — a racing swap can
-        # only make the entry *look newer* than its snapshot, in which
-        # case it dies with this (already superseded) snapshot's cache.
-        names = set(response["selected"])
-        names.update(item["name"] for item in response["ranking"])
-        revisions = self._db_revisions
-        snapshot.cache.put(
-            cache_key,
-            {
-                "response": response,
-                "revisions": {
-                    name: revisions.get(name, 0) for name in names
+        if not degraded:
+            # A degraded answer is never cached: it reflects one request's
+            # budget, and a later request for the same query may have
+            # time for the strategy it asked for.
+            #
+            # The entry records the journal revision of every database it
+            # names; the hot swap uses those to carry still-valid entries
+            # into the next snapshot (epoch-keyed invalidation, DESIGN.md
+            # §5j). Revisions are read off the live map — a racing swap
+            # can only make the entry *look newer* than its snapshot, in
+            # which case it dies with this (already superseded)
+            # snapshot's cache.
+            names = set(response["selected"])
+            names.update(item["name"] for item in response["ranking"])
+            revisions = self._db_revisions
+            snapshot.cache.put(
+                cache_key,
+                {
+                    "response": response,
+                    "revisions": {
+                        name: revisions.get(name, 0) for name in names
+                    },
                 },
-            },
-        )
+            )
         elapsed = time.perf_counter() - start
         telemetry.tag_outcome(
             degraded=degraded,
@@ -584,29 +579,6 @@ class SelectionService:
             arrival + timeout_seconds if timeout_seconds is not None else None
         )
         prune = self.config.prune
-        policy = self._latency_policy
-        if (
-            policy is not None
-            and deadline is not None
-            and strategy != SelectionStrategy.PLAIN.value
-        ):
-            remaining = deadline - time.monotonic()
-            if policy.should_preempt(strategy, remaining):
-                # The strategy's live p99 already exceeds this request's
-                # remaining budget: degrade up front instead of burning
-                # the budget discovering the same thing mid-loop.
-                from repro.evaluation.instrument import count
-
-                count("serve.latency_budget_preempted")
-                self.stats.record_degraded()
-                outcome = snapshot.metasearcher.select(
-                    list(terms),
-                    algorithm=algorithm,
-                    strategy=SelectionStrategy.PLAIN,
-                    k=k,
-                    prune=prune,
-                )
-                return outcome, True
         try:
             outcome = snapshot.metasearcher.select(
                 list(terms),
@@ -957,16 +929,46 @@ def parse_request(payload: Mapping) -> dict:
     if "strategy" in payload:
         kwargs["strategy"] = str(payload["strategy"])
     if "k" in payload:
-        try:
-            kwargs["k"] = int(payload["k"])
-        except (TypeError, ValueError) as error:
-            raise ValueError('"k" must be an integer') from error
+        kwargs["k"] = _parse_k(payload["k"])
     if "timeout_seconds" in payload and payload["timeout_seconds"] is not None:
-        try:
-            kwargs["timeout_seconds"] = float(payload["timeout_seconds"])
-        except (TypeError, ValueError) as error:
-            raise ValueError('"timeout_seconds" must be a number') from error
+        kwargs["timeout_seconds"] = _parse_timeout(payload["timeout_seconds"])
     return kwargs
+
+
+def _parse_k(value) -> int:
+    """An integral ``k``; a boolean or a fractional number is refused.
+
+    ``int()`` alone would serve ``true`` as 1 and ``2.7`` as 2 — a
+    different request from the one sent. Integral strings (``"3"``)
+    stay accepted.
+    """
+    if isinstance(value, bool):
+        raise ValueError('"k" must be an integer, not a boolean')
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f'"k" must be an integer, got {value!r}')
+    try:
+        return int(value)
+    except (TypeError, ValueError) as error:
+        raise ValueError('"k" must be an integer') from error
+
+
+def _parse_timeout(value) -> float:
+    """A finite, non-negative ``timeout_seconds``.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; a NaN deadline never
+    fires and a negative one has passed before the request arrives.
+    """
+    if isinstance(value, bool):
+        raise ValueError('"timeout_seconds" must be a number, not a boolean')
+    try:
+        timeout = float(value)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ValueError('"timeout_seconds" must be a number') from error
+    if not math.isfinite(timeout) or timeout < 0:
+        raise ValueError(
+            f'"timeout_seconds" must be finite and non-negative, got {value!r}'
+        )
+    return timeout
 
 
 def parse_update_request(payload: Mapping) -> dict:

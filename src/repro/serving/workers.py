@@ -9,12 +9,8 @@ into a shared-memory segment (:mod:`repro.serving.shm`), and forks N
 listening socket — N interpreters, N GILs, one copy of the matrices.
 
 Acceptor strategy: all workers ``accept()`` on one inherited listening
-socket by default (the kernel wakes exactly one worker per connection,
-and a dying worker never strands a private accept queue). With
-``reuseport=True`` and a platform that has ``SO_REUSEPORT``, each worker
-instead gets its own socket bound to the same port — better accept-load
-spreading on busy multi-core hosts, at the cost of a brief refusal
-window when a worker dies (the dispatcher respawns it).
+socket (the kernel wakes exactly one worker per connection, and a dying
+worker never strands a private accept queue).
 
 Epoch-flip protocol (snapshot hot swaps with workers attached):
 
@@ -114,11 +110,9 @@ def fork_available() -> bool:
     return hasattr(os, "fork")
 
 
-def _make_listener(host: str, port: int, reuseport: bool) -> socket.socket:
+def _make_listener(host: str, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    if reuseport:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((host, port))
     sock.listen(128)
     return sock
@@ -460,14 +454,11 @@ class _WorkerHandle:
         self,
         pid: int,
         control: socket.socket,
-        listener: socket.socket | None,
         absorb_telemetry=None,
     ) -> None:
         self.pid = pid
         self.control = control
         self.reader = _LineReader(control)
-        #: The worker's dedicated SO_REUSEPORT socket (None in shared mode).
-        self.listener = listener
         self.journal_length = 0
         self.epoch = 0
         self.inbox: queue.Queue = queue.Queue()
@@ -514,11 +505,6 @@ class _WorkerHandle:
             self.control.close()
         except OSError:
             pass
-        if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
 
 
 class WorkerPool:
@@ -537,7 +523,6 @@ class WorkerPool:
         port: int = 0,
         workers: int = 2,
         verbose: bool = False,
-        reuseport: bool = False,
         telemetry_interval: float = TELEMETRY_INTERVAL,
     ) -> None:
         if not fork_available():  # pragma: no cover - non-POSIX
@@ -550,7 +535,6 @@ class WorkerPool:
         self.worker_count = max(1, int(workers))
         self.verbose = verbose
         self.telemetry_interval = float(telemetry_interval)
-        self.reuseport = bool(reuseport) and hasattr(socket, "SO_REUSEPORT")
         self.host: str | None = None
         self.port: int | None = None
         self.admin_port: int | None = None
@@ -573,8 +557,6 @@ class WorkerPool:
         #: dispatcher's own process-wide registry.
         self._pool_instrumentation = Instrumentation()
         self._poll_tokens = itertools.count(1)
-        #: Reuseport acceptors created but not yet handed to a worker.
-        self._pending: list[socket.socket | None] = []
         self._started = False
         self._shutting_down = False
 
@@ -597,28 +579,11 @@ class WorkerPool:
 
         with span("workers.start", workers=self.worker_count):
             self._listener = _make_listener(
-                self.requested_host, self.requested_port, self.reuseport
+                self.requested_host, self.requested_port
             )
             self.host, self.port = self._listener.getsockname()[:2]
-            self._admin_listener = _make_listener("127.0.0.1", 0, False)
+            self._admin_listener = _make_listener("127.0.0.1", 0)
             self.admin_port = self._admin_listener.getsockname()[1]
-
-            pending_listeners: list[socket.socket | None]
-            if self.reuseport:
-                # Each worker gets its own acceptor. Crucially the
-                # dispatcher's bootstrap listener must then CLOSE before
-                # any connection arrives: a bound SO_REUSEPORT socket
-                # nobody accepts on still receives its hash share of
-                # connections, which would hang. Workers' sockets are
-                # created first so the port is never unbound in between.
-                pending_listeners = [
-                    _make_listener(self.requested_host, self.port, True)
-                    for _ in range(self.worker_count)
-                ]
-                self._listener.close()
-                self._listener = None
-            else:
-                pending_listeners = [None] * self.worker_count
 
             version = self.service.snapshot.version
             self._manifest, self._segment = shm.publish_snapshot(
@@ -627,16 +592,9 @@ class WorkerPool:
             self.service.install_shm_manifest(self._manifest)
 
             # Fork all workers before any dispatcher thread exists — the
-            # children must not inherit a half-held lock. _pending lets
-            # each child close the acceptors destined for later siblings
-            # (an inherited never-accepted SO_REUSEPORT fd would keep a
-            # dead queue alive and swallow connections).
-            self._pending = pending_listeners
-            try:
-                for listener in pending_listeners:
-                    self._spawn(listener)
-            finally:
-                self._pending = []
+            # children must not inherit a half-held lock.
+            for _ in range(self.worker_count):
+                self._spawn()
             for handle in self._workers.values():
                 self._await_ready(handle)
 
@@ -666,11 +624,7 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    def _spawn(self, listener: socket.socket | None = None) -> int:
-        if listener is None and self.reuseport:
-            # Respawn path: the dead worker's acceptor is gone, so bind a
-            # fresh SO_REUSEPORT socket for the replacement.
-            listener = _make_listener(self.requested_host, self.port, True)
+    def _spawn(self) -> int:
         parent_side, child_side = socket.socketpair()
         # Hold the global registry lock across fork: admin-handler and
         # reader threads record into it concurrently, and a child forked
@@ -684,22 +638,12 @@ class WorkerPool:
                 parent_side.close()
                 if self._admin_listener is not None:
                     self._admin_listener.close()
-                # Drop inherited ends belonging to sibling workers —
-                # both already-spawned ones and later siblings' pending
-                # acceptors.
+                # Drop inherited ends belonging to sibling workers.
                 for sibling in self._workers.values():
                     sibling.close()
-                for pending in self._pending:
-                    if pending is not None and pending is not listener:
-                        pending.close()
-                accept_sock = (
-                    listener if listener is not None else self._listener
-                )
-                if listener is not None and self._listener is not None:
-                    self._listener.close()
                 runtime = _WorkerRuntime(
                     self.service,
-                    accept_sock,
+                    self._listener,
                     child_side,
                     admin_url=self.admin_url,
                     verbose=self.verbose,
@@ -712,7 +656,7 @@ class WorkerPool:
         # ---- dispatcher continues ----
         child_side.close()
         handle = _WorkerHandle(
-            pid, parent_side, listener, absorb_telemetry=self._absorb_telemetry
+            pid, parent_side, absorb_telemetry=self._absorb_telemetry
         )
         handle.journal_length = len(self.service.journal)
         handle.epoch = self.service.snapshot.version

@@ -200,11 +200,31 @@ class TestNormalizeAndParse:
             {"query": ["ok", 3]},
             {"query": "a", "k": "three"},
             {"query": "a", "timeout_seconds": "soon"},
+            # int() would serve the first three as k = 1, 0 and 2.
+            {"query": "a", "k": True},
+            {"query": "a", "k": False},
+            {"query": "a", "k": 2.7},
+            {"query": "a", "k": float("inf")},
+            # A NaN deadline never fires; a negative one has already passed.
+            {"query": "a", "timeout_seconds": float("nan")},
+            {"query": "a", "timeout_seconds": float("inf")},
+            {"query": "a", "timeout_seconds": -1},
+            {"query": "a", "timeout_seconds": "nan"},
+            {"query": "a", "timeout_seconds": True},
+            # float() raises OverflowError on an integer past 1e308.
+            {"query": "a", "timeout_seconds": 10**400},
         ],
     )
     def test_parse_request_rejects(self, payload):
         with pytest.raises(ValueError):
             parse_request(payload)
+
+    def test_parse_request_accepts_integral_k_and_zero_timeout(self):
+        kwargs = parse_request(
+            {"query": "a", "k": 4.0, "timeout_seconds": 0}
+        )
+        assert kwargs["k"] == 4 and isinstance(kwargs["k"], int)
+        assert kwargs["timeout_seconds"] == 0.0
 
 
 class TestSelectionService:
@@ -260,6 +280,36 @@ class TestSelectionService:
         assert response["degraded"]
         assert response["ranking"]  # still answered, from the plain path
         assert service.stats.degraded == 1
+
+    def test_degraded_answer_is_not_cached(self):
+        # A degraded answer reflects one request's budget: a later
+        # request for the same query with a full budget must get the
+        # strategy it asked for, not the cached plain fallback.
+        service = _make_service()
+        query = ["gen000", "gen004"]
+        degraded = service.select(
+            query, algorithm="cori", strategy="shrinkage", timeout_seconds=-1
+        )
+        assert degraded["degraded"]
+        assert len(service.snapshot.cache) == 0
+        full = service.select(
+            query, algorithm="cori", strategy="shrinkage", timeout_seconds=60
+        )
+        assert not full["cached"]
+        assert not full["degraded"]
+        reference = _make_service().select(
+            query, algorithm="cori", strategy="shrinkage", timeout_seconds=60
+        )
+        assert full["shrinkage_applications"] == reference[
+            "shrinkage_applications"
+        ]
+        assert full["shrinkage_applications"] > 0
+        assert full["ranking"] == reference["ranking"]
+        # The full answer is cached as usual.
+        again = service.select(
+            query, algorithm="cori", strategy="shrinkage", timeout_seconds=60
+        )
+        assert again["cached"] and not again["degraded"]
 
     def test_plain_requests_never_degrade(self):
         service = _make_service(request_timeout_seconds=0.0)
@@ -344,6 +394,28 @@ class TestHttpRoundTrip:
         request = urllib.request.Request(
             f"{client.base_url}/select",
             data=b"not json",
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"query": "gen000", "k": 2.7}',
+            b'{"query": "gen000", "timeout_seconds": NaN}',
+        ],
+    )
+    def test_malformed_k_or_timeout_is_http_400(self, server_and_client, body):
+        _, _, client = server_and_client
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            f"{client.base_url}/select",
+            data=body,
             method="POST",
             headers={"Content-Type": "application/json"},
         )

@@ -24,11 +24,7 @@ import numpy as np
 import pytest
 
 from repro.selection.metasearcher import Metasearcher
-from repro.serving.admission import (
-    AdmissionController,
-    LatencyBudgetPolicy,
-    ServiceOverloaded,
-)
+from repro.serving.admission import AdmissionController, ServiceOverloaded
 from repro.serving.loadgen import (
     WorkloadSpec,
     generate_queries,
@@ -791,73 +787,6 @@ def clean_registry():
     inst.reset()
     yield inst
     inst.reset()
-
-
-class TestLatencyBudgetPolicy:
-    def _seed(self, inst, strategy, values, epoch=1):
-        from repro.serving.telemetry import labeled
-
-        name = labeled(
-            "serve.handler_seconds",
-            endpoint="select",
-            epoch=epoch,
-            strategy=strategy,
-        )
-        for value in values:
-            inst.observe(name, value)
-
-    def test_p99_from_live_histograms(self, clean_registry):
-        self._seed(clean_registry, "shrinkage", [0.1] * 30)
-        policy = LatencyBudgetPolicy(min_samples=20)
-        assert policy.p99_seconds("shrinkage") == pytest.approx(0.1)
-        assert policy.p99_seconds("universal") is None
-
-    def test_min_samples_gates_a_cold_process(self, clean_registry):
-        self._seed(clean_registry, "shrinkage", [0.1] * 5)
-        policy = LatencyBudgetPolicy(min_samples=20)
-        assert policy.p99_seconds("shrinkage") is None
-        assert policy.should_preempt("shrinkage", 0.01) is False
-
-    def test_samples_merge_across_epoch_labels(self, clean_registry):
-        self._seed(clean_registry, "shrinkage", [0.1] * 10, epoch=1)
-        self._seed(clean_registry, "shrinkage", [0.1] * 10, epoch=2)
-        policy = LatencyBudgetPolicy(min_samples=20)
-        assert policy.p99_seconds("shrinkage") == pytest.approx(0.1)
-
-    def test_should_preempt_compares_p99_to_budget(self, clean_registry):
-        self._seed(clean_registry, "shrinkage", [0.2] * 30)
-        policy = LatencyBudgetPolicy(min_samples=20)
-        assert policy.should_preempt("shrinkage", 0.1) is True
-        assert policy.should_preempt("shrinkage", 0.5) is False
-        assert policy.should_preempt("shrinkage", None) is False
-        assert policy.should_preempt("plain", 0.0001) is False
-
-    def test_refresh_is_ttl_cached(self, clean_registry):
-        clock = _FakeClock()
-        self._seed(clean_registry, "shrinkage", [0.1] * 30)
-        policy = LatencyBudgetPolicy(
-            refresh_seconds=0.5, min_samples=20, clock=clock
-        )
-        assert policy.p99_seconds("shrinkage") == pytest.approx(0.1)
-        self._seed(clean_registry, "shrinkage", [9.0] * 100)
-        # Within the TTL the cached percentile answers.
-        assert policy.p99_seconds("shrinkage") == pytest.approx(0.1)
-        clock.now += 1.0
-        assert policy.p99_seconds("shrinkage") == pytest.approx(9.0)
-
-    def test_service_preempts_up_front(self, clean_registry):
-        self._seed(clean_registry, "shrinkage", [10.0] * 30)
-        service = _make_service(
-            latency_budget=True, request_timeout_seconds=0.5
-        )
-        response = service.select(["gen000"], strategy="shrinkage")
-        # The live p99 (10s) dwarfs the 0.5s budget: served plain up
-        # front, marked degraded, no deadline ever fired.
-        assert response["degraded"] is True
-        assert response["shrinkage_applications"] == 0
-        assert clean_registry.snapshot()["counters"].get(
-            "serve.latency_budget_preempted"
-        ) == 1
 
 
 class TestPoolStatsParity:
