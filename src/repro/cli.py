@@ -12,11 +12,11 @@ Exposes the experiment harness without writing Python:
   the run's full JSONL trace on stdout, ``--trajectory FILE`` appends a
   machine-readable record and warns about >20% timer regressions.
 * ``testbed`` — synthesize a large ``universe-<N>`` cell (closed-form
-  summaries, log-uniform sizes) and report its shape; ``--probe`` runs a
-  pruned-vs-full probe query per algorithm and reports the peak resident
-  memory.
-* ``verify-prune`` — prove the pruned exact top-k engine bit-identical
-  to a full scan across algorithms, strategies, and sampled queries.
+  summaries, log-uniform sizes) and report its shape; ``--probe`` checks
+  a pruned probe query per algorithm against the serial ranking and
+  reports the peak resident memory.
+* ``verify-prune`` — prove full and pruned answers bit-identical to the
+  serial ranking across algorithms, strategies, and sampled queries.
 * ``serve`` — long-lived selection server: preload one cell, then answer
   ``POST /select`` queries over HTTP from the batched score matrices;
   ``--prune`` routes queries through the pruned exact top-k engine.
@@ -395,6 +395,8 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
     print(f"synthesis wall:  {build_wall:.3f} s")
 
     if args.probe:
+        from repro.selection import oracle
+
         # One probe per algorithm warms every pruned plain engine, so both
         # regimes' column stores (df for bGlOSS and CORI, tf for LM) are
         # built before the peak is read.
@@ -408,19 +410,19 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
                                          strategy="plain", k=args.k, prune=True)
             pruned_wall = time.perf_counter() - start
             start = time.perf_counter()
-            full = metasearcher.select(terms, algorithm=algorithm,
-                                       strategy="plain", k=args.k)
-            full_wall = time.perf_counter() - start
-            identical = pruned.names == full.names and all(
-                pruned.scores[name] == full.scores[name]
-                for name in pruned.scores
-                if name in full.scores
+            report = oracle.sweep(
+                metasearcher, [lambda *_: pruned], [terms], algorithm,
+                "plain", args.k,
             )
+            serial_wall = time.perf_counter() - start
+            identical = report["wrong"] == 0
             identical_all &= identical
             print(
                 f"probe query:     {' '.join(terms)} ({algorithm}/plain, "
                 f"k={args.k}) — {'bit-identical' if identical else 'MISMATCH'}"
             )
+            for example in report["examples"]:
+                print(f"  - {example}")
             scored = pruned.candidates_scored
             if scored is not None:
                 print(
@@ -429,7 +431,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
                 )
             print(
                 f"probe wall:      pruned {pruned_wall:.3f} s "
-                f"(includes any store build), full {full_wall:.3f} s"
+                f"(includes any store build), serial {serial_wall:.3f} s"
             )
         peak = _peak_resident_mb()
         if peak is not None:
@@ -454,6 +456,7 @@ def _peak_resident_mb() -> float | None:
 
 def _cmd_verify_prune(args: argparse.Namespace) -> int:
     from repro.evaluation import harness
+    from repro.selection import oracle
     from repro.serving import loadgen
 
     _configure_harness(args)
@@ -475,43 +478,33 @@ def _cmd_verify_prune(args: argparse.Namespace) -> int:
     queries = loadgen.generate_queries(vocabulary, args.queries, seed=args.seed)
 
     total = len(summaries)
+    scored_fractions = []
+
+    def full(terms, algorithm, strategy, k):
+        return metasearcher.select(
+            terms, algorithm=algorithm, strategy=strategy, k=k
+        )
+
+    def pruned(terms, algorithm, strategy, k):
+        outcome = metasearcher.select(
+            terms, algorithm=algorithm, strategy=strategy, k=k, prune=True
+        )
+        if outcome.candidates_scored is not None:
+            scored_fractions.append(outcome.candidates_scored / total)
+        return outcome
+
     checked = 0
     mismatches = 0
-    scored_fractions = []
     for algorithm in algorithms:
         for strategy in strategies:
-            for terms in queries:
-                full = metasearcher.select(
-                    terms, algorithm=algorithm, strategy=strategy, k=args.k
-                )
-                pruned = metasearcher.select(
-                    terms, algorithm=algorithm, strategy=strategy, k=args.k,
-                    prune=True,
-                )
-                checked += 1
-                problems = []
-                if pruned.names != full.names:
-                    problems.append(
-                        f"selected names differ: {pruned.names[:3]}... "
-                        f"vs {full.names[:3]}..."
-                    )
-                if not set(pruned.scores) <= set(full.scores):
-                    problems.append("pruned pool contains unknown names")
-                for name, score in pruned.scores.items():
-                    if name in full.scores and score != full.scores[name]:
-                        problems.append(
-                            f"score differs for {name}: {score!r} "
-                            f"vs {full.scores[name]!r}"
-                        )
-                        break
-                if pruned.candidates_scored is not None:
-                    scored_fractions.append(pruned.candidates_scored / total)
-                if problems:
-                    mismatches += 1
-                    print(
-                        f"MISMATCH {algorithm}/{strategy} "
-                        f"[{' '.join(terms)}]: {'; '.join(problems)}"
-                    )
+            report = oracle.sweep(
+                metasearcher, [full, pruned], queries, algorithm, strategy,
+                args.k,
+            )
+            checked += report["checked"]
+            mismatches += report["wrong"]
+            for example in report["examples"]:
+                print(f"MISMATCH {example}")
 
     pruned_runs = len(scored_fractions)
     mean_fraction = float(np.mean(scored_fractions)) if scored_fractions else 1.0
@@ -525,19 +518,15 @@ def _cmd_verify_prune(args: argparse.Namespace) -> int:
         f"mean candidates scored {mean_fraction * 100:.1f}% "
         f"of {total} databases"
     )
+    within = True
     if args.max_scored_fraction is not None:
-        if mean_fraction > args.max_scored_fraction:
-            print(
-                f"verify-prune: WARNING mean scored fraction "
-                f"{mean_fraction:.3f} exceeds target "
-                f"{args.max_scored_fraction:.3f}"
-            )
-        else:
-            print(
-                f"verify-prune: scored fraction within target "
-                f"{args.max_scored_fraction:.3f}"
-            )
-    return 1 if mismatches else 0
+        within = mean_fraction <= args.max_scored_fraction
+        print(
+            f"verify-prune: mean scored fraction {mean_fraction:.3f} "
+            f"{'within' if within else 'FAILED, exceeds'} target "
+            f"{args.max_scored_fraction:.3f}"
+        )
+    return 0 if mismatches == 0 and within else 1
 
 
 def _service_config(args: argparse.Namespace):
@@ -654,11 +643,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except ServingError as error:
         print(f"query: {error}")
         return 2
+    try:
+        _print_answer(response, args)
+    except BrokenPipeError:  # e.g. `repro query … | head -3`
+        pass
+    return 0
+
+
+def _print_answer(response: dict, args: argparse.Namespace) -> None:
     if args.json:
         import json as json_module
 
         print(json_module.dumps(response, indent=2))
-        return 0
+        return
     flags = []
     if response.get("degraded"):
         flags.append("degraded to plain")
@@ -676,7 +673,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"  {rank:>3} {marker} {entry['name']:<12} {entry['score']:.6g}")
     if not selected:
         print("  (no database scored above its floor)")
-    return 0
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
@@ -823,6 +819,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             )
             label = f"{pool.url} ({args.workers} workers)"
             databases = len(service.metasearcher.sampled_summaries)
+            service_obj = service
             victim = list(service.metasearcher.sampled_summaries)[-1]
             update_fn = (
                 lambda ops, verify: client.update(
@@ -913,6 +910,28 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             on_request=on_request,
         )
         requests_after = count_requests() if count_requests else 0
+        sweep = None
+        if args.verify_responses:
+            # After the metrics count above (the sweep's own selects
+            # would add to it) and before the pool goes down. The
+            # reference is the (dispatcher's) cell after the last swap.
+            from repro.selection import oracle
+            from repro.serving.service import canonical_terms, normalize_query
+
+            distinct = list(
+                dict.fromkeys(
+                    canonical_terms(normalize_query(query)) for query in queries
+                )
+            )
+            sweep = oracle.sweep(
+                service_obj.metasearcher,
+                [select],
+                distinct,
+                args.algorithm,
+                args.strategy,
+                args.k,
+                limit=service_obj.config.ranking_limit,
+            )
     finally:
         if pool is not None:
             pool.shutdown()
@@ -931,7 +950,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         line = (
             f"workload: update @{index} -> epoch "
             f"{result.get('snapshot_version', '?')}, retained "
-            f"{result.get('response_cache_retained', 0)} cache entries"
+            f"{result.get('response_cache_retained', 0)} cache entries, "
+            f"em recomputed {result.get('em_recomputed', '?')}"
         )
         verification = result.get("verification")
         if verification is not None:
@@ -939,29 +959,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             update_verify_failed = update_verify_failed or not verified
             line += ", verification " + ("PASSED" if verified else "FAILED")
         print(line)
-    sweep = None
-    if args.verify_responses:
-        if service_obj is None:
-            print(
-                "workload: --verify-responses needs the in-process "
-                "target; skipped"
-            )
-        else:
-            sweep = loadgen.verify_cached_responses(
-                service_obj,
-                queries,
-                algorithm=args.algorithm,
-                strategy=args.strategy,
-                k=args.k,
-            )
-            status = "[OK]" if sweep["wrong"] == 0 else "[FAIL]"
-            print(
-                f"workload: wrong responses {sweep['wrong']} of "
-                f"{sweep['checked']} distinct queries vs fresh scoring "
-                f"{status}"
-            )
-            for example in sweep["examples"]:
-                print(f"  - mismatched query: {example}")
+    if sweep is not None:
+        status = "[OK]" if sweep["wrong"] == 0 else "[FAIL]"
+        print(
+            f"workload: wrong responses {sweep['wrong']} of "
+            f"{sweep['checked']} distinct queries vs the serial ranking "
+            f"{status}"
+        )
+        for example in sweep["examples"]:
+            print(f"  - mismatched query: {example}")
     metrics_exact = None
     if count_requests is not None:
         counted = requests_after - requests_before
@@ -1232,8 +1238,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     testbed.add_argument(
         "--probe", action="store_true",
-        help="run a pruned-vs-full probe query per algorithm and report "
-        "the touch rate and the peak resident memory (VmHWM)",
+        help="check a pruned probe query per algorithm against the "
+        "serial ranking and report the touch rate and the peak resident "
+        "memory (VmHWM)",
     )
     testbed.add_argument("--k", type=int, default=10)
     _add_runtime_arguments(testbed)
@@ -1241,7 +1248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_prune = commands.add_parser(
         "verify-prune",
-        help="prove pruned top-k selection bit-identical to a full scan",
+        help="prove full and pruned selection bit-identical to the "
+        "serial ranking",
     )
     _add_cell_arguments(verify_prune)
     verify_prune.add_argument(
@@ -1260,7 +1268,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_prune.add_argument("--seed", type=int, default=0)
     verify_prune.add_argument(
         "--max-scored-fraction", type=float, default=None, metavar="F",
-        help="warn when the mean scored fraction exceeds F (e.g. 0.5)",
+        help="fail (exit 1) when the mean scored fraction exceeds F "
+        "(e.g. 0.5)",
     )
     verify_prune.set_defaults(handler=_cmd_verify_prune)
 
@@ -1362,7 +1371,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a distinct-query stream against the serving path",
     )
     _add_cell_arguments(loadgen)
-    loadgen.add_argument(
+    target = loadgen.add_mutually_exclusive_group()
+    target.add_argument(
         "--url", help="target a running server instead of in-process"
     )
     loadgen.add_argument(
@@ -1403,11 +1413,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove bit-identity against a rebuild on every mid-stream "
         "workload update before publishing the swap",
     )
-    loadgen.add_argument(
+    target.add_argument(
         "--verify-responses", action="store_true",
         help="after the run, sweep the stream's distinct queries and "
-        "bit-compare served (possibly cached) responses against fresh "
-        "scoring on the current snapshot (in-process target only)",
+        "bit-compare served (possibly cached) responses against the "
+        "serial ranking of the cell after the last swap (in-process or "
+        "--workers N; not --url)",
     )
     loadgen.add_argument(
         "--trajectory", metavar="FILE",

@@ -500,3 +500,32 @@ class CategorySummaryBuilder:
             self._summary_cache.pop(node.path, None)
             changed.add(node.path)
         return changed
+
+    def settle(
+        self, before: "CategorySummaryBuilder", paths: set[tuple[str, ...]]
+    ) -> set[tuple[str, ...]]:
+        """Keep ``before``'s objects wherever a batch ended on its bits.
+
+        Each mutation compares its refold with the state it started from,
+        so a batch that cancels out (a remove, then the restore) reports
+        every path it passed through. ``paths`` are those paths;
+        ``before`` is the builder this one was copied from. Where a
+        path's final aggregate equals ``before``'s bitwise, ``before``'s
+        aggregate object, its cached category summary and its direct
+        aggregate are put back. Returns the paths whose bits moved.
+        """
+        moved: set[tuple[str, ...]] = set()
+        for path in paths:
+            direct = self._direct.get(path)
+            if path in before._direct and direct is not None:
+                if direct.same_as(before._direct[path]):
+                    self._direct[path] = before._direct[path]
+            previous = before._aggregates[path]
+            if not self._aggregates[path].same_as(previous):
+                moved.add(path)
+                continue
+            self._aggregates[path] = previous
+            self._summary_cache.pop(path, None)
+            if path in before._summary_cache:
+                self._summary_cache[path] = before._summary_cache[path]
+        return moved

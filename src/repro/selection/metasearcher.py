@@ -30,8 +30,9 @@ from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrinkageConfig, ShrunkSummary, shrink_all_summaries
 from repro.corpus.hierarchy import Hierarchy
 from repro.selection.base import DatabaseScorer, RankedDatabase
-# The serial oracle the tests and benchmarks compare these engines
-# against stays importable from here; ranking never calls it.
+# Importable from here so a tracer can wrap this name and count any
+# serial fallback; ranking never calls it (the oracle imports it from
+# repro.selection.base).
 from repro.selection.base import rank_databases  # noqa: F401
 from repro.selection.batch import (
     AdaptiveBatchEngine,
@@ -88,6 +89,20 @@ class SelectionOutcome:
             return 0
         return sum(1 for d in self.decisions.values() if d.use_shrinkage)
 
+    def ranking_entries(self, limit: int | None = None) -> list[dict]:
+        """The ranking a served answer carries: ``(-score, name)`` order,
+        at most ``limit`` entries, each flagged ``selected`` when it is
+        one of :attr:`names`. A pruned outcome already holds only its
+        top-k pool; the cap bounds an unpruned one."""
+        ranking = sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))
+        if limit is not None:
+            ranking = ranking[:limit]
+        selected = set(self.names)
+        return [
+            {"name": name, "score": score, "selected": name in selected}
+            for name, score in ranking
+        ]
+
 
 _ALGORITHMS = ("bgloss", "cori", "lm")
 
@@ -134,8 +149,8 @@ class Metasearcher:
     (``builder.vocab``) when it is installed, so the plain, universal and
     mixed sets always stack into score matrices; ranking never falls back
     to the serial :func:`~repro.selection.base.rank_databases`, which
-    stays the oracle the tests compare against. Each fixed-set scorer is
-    prepared on the set it ranks.
+    :mod:`repro.selection.oracle` checks every answer against. Each
+    fixed-set scorer is prepared on the set it ranks.
     """
 
     def __init__(

@@ -48,6 +48,7 @@ import numpy as np
 from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrunkSummary, shrink_database_summary
+from repro.selection import oracle
 from repro.selection.batch import STORE_FIELDS
 from repro.selection.metasearcher import Metasearcher
 from repro.summaries.io import summary_from_dict, summary_to_dict
@@ -359,6 +360,10 @@ class CellUpdater:
                     if not same_summary(summary, current):
                         changed |= working.replace_database(name, summary)
 
+            # Judge the batch as a whole: a path a cancelling pair passed
+            # through keeps the pre-update aggregate, so every R(D) under
+            # it stays reusable.
+            changed = working.settle(self._builder, changed)
             summaries = working.database_summaries()
             classifications = working.database_classifications()
             journal = self.journal + ops
@@ -398,25 +403,14 @@ class CellUpdater:
         count("lifecycle.shrunk_reused", reused)
         count("lifecycle.em_recomputed", em_ran)
 
-        # Per-database identity facts for the epoch-keyed response cache
-        # (service.py): which databases this update actually *touched*
-        # (summary object replaced or newly added), and whether the cell
-        # as a whole is provably bitwise-identical to the previous one.
-        # Object identity is the right test — the builder keeps previous
-        # summary objects whenever an op sequence cancels out, and a kept
-        # object is by construction bitwise what a rebuild recomputes.
+        # Which databases this update *touched* (summary object replaced
+        # or newly added). Object identity is the right test: the builder
+        # keeps previous summary objects whenever an op sequence cancels
+        # out, and a kept object is bitwise what a rebuild recomputes.
         touched = sorted(
             name
             for name, summary in summaries.items()
             if previous_summaries.get(name) is not summary
-        )
-        added = sorted(set(summaries) - set(previous_summaries))
-        removed = sorted(set(previous_summaries) - set(summaries))
-        # Ordered identity: collection-stat folds (CORI's cf/mcw, matrix
-        # stacking) run in dict iteration order, so bitwise reuse of
-        # *derived* state needs the same objects in the same order.
-        summaries_identical = list(previous_summaries) == list(summaries) and all(
-            previous_summaries[name] is summaries[name] for name in summaries
         )
         info = {
             "ops": len(ops),
@@ -427,17 +421,13 @@ class CellUpdater:
             "lifecycle_cache_hit": cache_hit,
             "journal_length": len(journal),
             "touched_databases": touched,
-            "added_databases": added,
-            "removed_databases": removed,
-            "summaries_identical": summaries_identical,
-            # No category aggregate changed bits anywhere in the tree
-            # (cancelling sequences land here): plain LM's Root model and
-            # every shrinkage mixture input survived bitwise.
-            "aggregates_identical": not changed,
-            # Every shrunk summary is the previous snapshot's own object
-            # (EM never ran and nothing was reloaded from the store).
-            "shrunk_identical": not cache_hit
-            and em_ran == 0
+            # The cell computes bitwise what it did before: the same
+            # summary objects in the same order (collection statistics
+            # fold in dict order), no aggregate moved, and every R(D) is
+            # the previous object. The response cache survives only this.
+            "unchanged": list(previous_summaries) == list(summaries)
+            and not touched
+            and not changed
             and reused == len(summaries),
         }
         return metasearcher, info
@@ -578,9 +568,9 @@ def previous_is_reusable(
 
     True only when the database's summary is the same object as when
     ``previous`` was computed *and* every aggregate on its ancestor
-    chain survived the update bitwise (``_patch_path`` keeps the
-    previous aggregate object — and its cached category summary — when
-    the refold lands on the same bits, so cancelling sequences get here).
+    chain survived the update bitwise (``settle`` puts back the previous
+    aggregate object, and its cached category summary, wherever the
+    batch ended on the same bits, so cancelling sequences get here).
     """
     if summary_before is not summary:
         return False
@@ -625,8 +615,10 @@ def verify_against_rebuild(
     (same objects, same dict order, same vocabulary instance — the
     canonical state the incremental path claims to have reached), runs
     the full EM from scratch, and demands bitwise equality of every
-    shrunk probability array, every lambda, and every selection outcome
-    (scores, floors-driven selected flags) across algorithms and
+    shrunk probability array, every lambda and every column-store array.
+    The incremental cell's full and pruned answers to the probe queries
+    must be bit-identical to the rebuild's serial ranking
+    (:func:`repro.selection.oracle.sweep`) across algorithms and
     strategies. Returns a report dict with ``verified`` plus the largest
     lambda deviation observed (0.0 when bit-identical).
     """
@@ -694,42 +686,27 @@ def verify_against_rebuild(
 
     if queries is None:
         queries = probe_queries(metasearcher)
+
+    def answer(prune: bool):
+        return lambda terms, algorithm, strategy, k: metasearcher.select(
+            terms, algorithm=algorithm, strategy=strategy, k=k, prune=prune
+        )
+
+    # Full and pruned answers of the incremental cell against the serial
+    # ranking of the rebuild.
     checked = 0
-    for query in queries:
-        for algorithm in _VERIFY_ALGORITHMS:
-            for strategy in _VERIFY_STRATEGIES:
-                ours = metasearcher.select(
-                    list(query), algorithm=algorithm, strategy=strategy, k=k
-                )
-                theirs = fresh.select(
-                    list(query), algorithm=algorithm, strategy=strategy, k=k
-                )
-                checked += 1
-                if ours.names != theirs.names:
-                    mismatches.append(
-                        f"{algorithm}/{strategy} {query}: selected sets differ"
-                    )
-                elif ours.scores != theirs.scores:
-                    mismatches.append(
-                        f"{algorithm}/{strategy} {query}: scores differ"
-                    )
-                # Pruned top-k must reproduce the full scan's top k bit
-                # for bit (names, scores, selected flags via names).
-                pruned = metasearcher.select(
-                    list(query),
-                    algorithm=algorithm,
-                    strategy=strategy,
-                    k=k,
-                    prune=True,
-                )
-                if pruned.names != ours.names or any(
-                    pruned.scores[name] != ours.scores[name]
-                    for name in pruned.scores
-                    if name in ours.scores
-                ) or not set(pruned.scores) <= set(ours.scores):
-                    mismatches.append(
-                        f"{algorithm}/{strategy} {query}: pruned != full"
-                    )
+    for algorithm in _VERIFY_ALGORITHMS:
+        for strategy in _VERIFY_STRATEGIES:
+            report = oracle.sweep(
+                fresh,
+                [answer(False), answer(True)],
+                queries,
+                algorithm,
+                strategy,
+                k,
+            )
+            checked += report["checked"]
+            mismatches.extend(report["examples"])
 
     return {
         "verified": not mismatches,

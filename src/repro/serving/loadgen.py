@@ -446,76 +446,6 @@ def run_load(
     }
 
 
-def verify_cached_responses(
-    service: SelectionService,
-    queries: Sequence[Sequence[str]],
-    algorithm: str = "cori",
-    strategy: str = "shrinkage",
-    k: int = 10,
-) -> dict:
-    """Bit-identity sweep over a stream's distinct queries.
-
-    After a workload run — including one that crossed hot swaps with the
-    epoch-keyed response cache carrying entries over — every response the
-    service returns (cached or freshly scored) must be bit-identical to
-    scoring the same canonical query directly against the *current*
-    snapshot's engines. This is the ``verify_against_rebuild``-style
-    safety proof for cache retention: a stale retained entry shows up
-    here as a wrong selected set or a ranking score off by an ulp.
-
-    Degraded responses are checked against plain scoring — that is the
-    contract the ``degraded`` flag makes — so the sweep stays meaningful
-    when a cached entry was produced under deadline pressure.
-
-    Returns ``{"checked": n, "wrong": m, "examples": [...]}``.
-    """
-    from repro.serving.service import canonical_terms, normalize_query
-
-    checked = 0
-    wrong: list[str] = []
-    seen: set[tuple[str, ...]] = set()
-    for query in queries:
-        terms = canonical_terms(normalize_query(list(query)))
-        if terms in seen:
-            continue
-        seen.add(terms)
-        checked += 1
-        response = service.select(
-            list(query), algorithm=algorithm, strategy=strategy, k=k
-        )
-        reference_strategy = (
-            "plain" if response.get("degraded") else strategy
-        )
-        outcome = service.metasearcher.select(
-            list(terms),
-            algorithm=algorithm,
-            strategy=reference_strategy,
-            k=k,
-            prune=service.config.prune,
-        )
-        ok = list(response["selected"]) == list(outcome.names)
-        if ok:
-            # Mirror the service's ranking construction exactly
-            # (service._serialize): score-desc, name-asc, optional cap.
-            ranking = sorted(
-                outcome.scores.items(), key=lambda item: (-item[1], item[0])
-            )
-            limit = service.config.ranking_limit
-            if limit is not None:
-                ranking = ranking[:limit]
-            got = response["ranking"]
-            selected = set(outcome.names)
-            ok = len(got) == len(ranking) and all(
-                entry["name"] == name
-                and entry["score"] == score
-                and bool(entry["selected"]) == (name in selected)
-                for entry, (name, score) in zip(got, ranking)
-            )
-        if not ok:
-            wrong.append(" ".join(terms))
-    return {"checked": checked, "wrong": len(wrong), "examples": wrong[:5]}
-
-
 def format_summary(summary: dict) -> str:
     """Human-readable one-block report of a load run."""
     return (

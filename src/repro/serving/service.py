@@ -210,40 +210,6 @@ def _copy_response(response: dict) -> dict:
     return copied
 
 
-def _survives_break_in(
-    response: Mapping, terms: Sequence[str], k: int, touched, summaries, scorer
-) -> bool:
-    """Whether a truncated cached ranking is safe despite touched databases.
-
-    The entry's dependency set (every database named in its ranking or
-    selection) is already known to be disjoint from ``touched`` — but a
-    touched database *outside* the cached ranking could have gained
-    enough mass to break into it. Rescoring just the touched databases
-    settles that: the entry survives only if every new score falls
-    strictly below the cached ranking's cutoff (ties could reorder the
-    prefix) and — when the cached selection holds fewer than ``k``
-    entries, meaning the score floor did the cutting — only if the new
-    scores sit exactly on the floor (0.0 for bGlOSS) so none becomes
-    selectable.
-    """
-    ranking = response.get("ranking") or []
-    if not ranking:
-        return False
-    cutoff = ranking[-1]["score"]
-    selected_full = len(response.get("selected") or ()) >= int(k)
-    query = list(terms)
-    for name in touched:
-        summary = summaries.get(name)
-        if summary is None:
-            return False
-        score = scorer.score(query, summary)
-        if score >= cutoff:
-            return False
-        if score > 0.0 and not selected_full:
-            return False
-    return True
-
-
 class SelectionService:
     """Answer database-selection queries from a preloaded cell."""
 
@@ -281,12 +247,6 @@ class SelectionService:
         self._updater: CellUpdater | None = None
         #: Serializes apply_update(); never taken on the request path.
         self._update_lock = threading.Lock()
-        #: Per-database journal revision, bumped each time an update
-        #: touches (or removes) the database. Cached responses record the
-        #: revisions of every database they depend on; the hot swap
-        #: carries an entry forward only while those revisions hold (see
-        #: DESIGN.md §5j). Written only under the update lock.
-        self._db_revisions: dict[str, int] = {}
         if self.config.max_inflight is not None:
             self._admission: AdmissionController | None = AdmissionController(
                 self.config.max_inflight,
@@ -508,7 +468,7 @@ class SelectionService:
         if cached is not MISSING:
             self.stats.record_cache_hit()
             telemetry.tag_outcome(cache_hit=True)
-            response = _copy_response(cached["response"])
+            response = _copy_response(cached)
             response["cached"] = True
             response["request_id"] = telemetry.request_id
             return response
@@ -525,26 +485,7 @@ class SelectionService:
             # A degraded answer is never cached: it reflects one request's
             # budget, and a later request for the same query may have
             # time for the strategy it asked for.
-            #
-            # The entry records the journal revision of every database it
-            # names; the hot swap uses those to carry still-valid entries
-            # into the next snapshot (epoch-keyed invalidation, DESIGN.md
-            # §5j). Revisions are read off the live map — a racing swap
-            # can only make the entry *look newer* than its snapshot, in
-            # which case it dies with this (already superseded)
-            # snapshot's cache.
-            names = set(response["selected"])
-            names.update(item["name"] for item in response["ranking"])
-            revisions = self._db_revisions
-            snapshot.cache.put(
-                cache_key,
-                {
-                    "response": response,
-                    "revisions": {
-                        name: revisions.get(name, 0) for name in names
-                    },
-                },
-            )
+            snapshot.cache.put(cache_key, response)
         elapsed = time.perf_counter() - start
         telemetry.tag_outcome(
             degraded=degraded,
@@ -611,15 +552,6 @@ class SelectionService:
         degraded: bool,
     ) -> dict:
         """Build the JSON-ready (and cacheable) response dict."""
-        ranking = sorted(
-            outcome.scores.items(), key=lambda item: (-item[1], item[0])
-        )
-        limit = self.config.ranking_limit
-        if limit is not None:
-            # A pruned outcome already carries only its top-k pool; the
-            # cap makes the unpruned response comparable (and bounded).
-            ranking = ranking[:limit]
-        selected = set(outcome.names)
         return {
             "query": list(terms),
             "algorithm": algorithm,
@@ -629,14 +561,7 @@ class SelectionService:
             "cached": False,
             "snapshot_version": snapshot.version,
             "selected": list(outcome.names),
-            "ranking": [
-                {
-                    "name": name,
-                    "score": score,
-                    "selected": name in selected,
-                }
-                for name, score in ranking
-            ],
+            "ranking": outcome.ranking_entries(self.config.ranking_limit),
             "shrinkage_applications": outcome.shrinkage_applications,
             "candidates_scored": outcome.candidates_scored,
         }
@@ -721,7 +646,7 @@ class SelectionService:
             swap_start = time.perf_counter()
             cache = LruCache(self.config.response_cache_size)
             result["response_cache_retained"] = self._carry_cache(
-                previous, metasearcher, info, cache
+                previous, info, cache
             )
             snapshot = CellSnapshot(
                 version=next_version,
@@ -751,96 +676,24 @@ class SelectionService:
             return result
 
     def _carry_cache(
-        self,
-        previous: CellSnapshot,
-        metasearcher: Metasearcher,
-        info: Mapping,
-        cache: LruCache,
+        self, previous: CellSnapshot, info: Mapping, cache: LruCache
     ) -> int:
-        """Carry still-valid response-cache entries across the hot swap.
+        """Carry the response cache across the hot swap: every entry when
+        the update left the cell ``unchanged``, none otherwise.
 
-        Called under the update lock. First bumps the journal revision of
-        every database the update touched or removed (an entry citing a
-        stale revision can never match again — this is the epoch keying),
-        then walks the previous snapshot's cache and retains an entry only
-        when one of three *proofs* covers it (DESIGN.md §5j):
-
-        1. **Identical cell** — the update cancelled out entirely: every
-           sampled summary is the previous object in the previous order,
-           no category aggregate changed bits, and every shrunk summary
-           was reused wholesale. The new snapshot recomputes bitwise the
-           same numbers for every (algorithm, strategy), so everything
-           survives.
-        2. **Plain-identical** — summaries and aggregates survived but EM
-           re-ran (or reloaded): only ``plain`` entries survive. Plain
-           scoring reads the sampled summaries (and, for LM, the Root
-           category model) — all proven unchanged — while adaptive
-           strategies read the recomputed shrunk set.
-        3. **Per-database (bGlOSS/plain)** — the update replaced some
-           summaries in place (no membership change, no pruned scans,
-           since a pruned scan's candidate pool depends on every row).
-           bGlOSS plain is the one per-database-local scorer: a database's
-           score depends on nothing but its own summary. An entry whose
-           dependency revisions all still hold, and whose truncated
-           ranking no touched database can break into
-           (:func:`_survives_break_in` rescoring proof), is bitwise what
-           the new snapshot would compute.
-
-        Everything else is dropped — correctness first, the cache is just
-        a cache. Returns the number of entries retained.
+        An unchanged cell holds the previous sampled summary objects in
+        the previous order, the previous category aggregates and every
+        previous R(D), so the new snapshot computes bitwise the answers
+        the old one cached (DESIGN.md §5j). Returns the number of entries
+        carried.
         """
-        touched = set(info.get("touched_databases") or ())
-        removed = set(info.get("removed_databases") or ())
-        added = set(info.get("added_databases") or ())
-        for name in touched | removed:
-            self._db_revisions[name] = self._db_revisions.get(name, 0) + 1
-        if self.config.response_cache_size <= 0:
+        if not info["unchanged"]:
             return 0
-        summaries_identical = bool(info.get("summaries_identical"))
-        aggregates_identical = bool(info.get("aggregates_identical"))
-        identical_cell = (
-            summaries_identical
-            and aggregates_identical
-            and bool(info.get("shrunk_identical"))
-        )
-        plain_identical = summaries_identical and aggregates_identical
-        granular_ok = not added and not removed and not self.config.prune
-        if not (identical_cell or plain_identical or granular_ok):
-            return 0
-        scorer = None
-        summaries = metasearcher.sampled_summaries
-        revisions = self._db_revisions
-        retained = 0
         # items() is oldest-to-most-recent, so re-putting in order
         # preserves the entries' relative recency in the new cache.
-        for key, entry in previous.cache.items():
-            algorithm, strategy, terms, k = key
-            if identical_cell:
-                keep = True
-            elif plain_identical and strategy == "plain":
-                keep = True
-            elif (
-                granular_ok
-                and algorithm == "bgloss"
-                and strategy == "plain"
-                and all(
-                    revisions.get(name, 0) == revision
-                    for name, revision in entry["revisions"].items()
-                )
-            ):
-                if scorer is None:
-                    from repro.selection.bgloss import BGlossScorer
-
-                    scorer = BGlossScorer()
-                keep = _survives_break_in(
-                    entry["response"], terms, k, touched, summaries, scorer
-                )
-            else:
-                keep = False
-            if keep:
-                cache.put(key, entry)
-                retained += 1
-        return retained
+        for key, response in previous.cache.items():
+            cache.put(key, response)
+        return len(cache)
 
     # -- introspection ---------------------------------------------------------
 

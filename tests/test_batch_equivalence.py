@@ -11,8 +11,9 @@ this file.  The strict ``score > floor`` selection rule depends on that.
 Covered: all three scorers (bGlOSS, CORI, LM) across plain sampled,
 universal shrunk, and adaptive mixed summary choices; empty queries;
 out-of-vocabulary terms; summaries on their own vocabularies; plus a
-hypothesis property over random queries. The reference is
-``choose_summaries`` + ``rank_databases`` on freshly prepared scorers.
+hypothesis property over random queries. The reference is the serial
+oracle (:mod:`repro.selection.oracle`): ``choose_summaries`` +
+``rank_databases`` on freshly prepared scorers.
 Below the scorers, one oracle checks the matrix's sparse column store:
 every gather and bound equals arrays built from each summary's own
 ``scored_lookup`` (:func:`lookup_oracle`), over random plain and shrunk
@@ -35,7 +36,8 @@ from repro.selection.batch import (
     UnsupportedSummarySet,
     batch_floor_map,
 )
-from repro.selection.metasearcher import Metasearcher, SelectionOutcome
+from repro.selection import oracle
+from repro.selection.metasearcher import Metasearcher
 from repro.summaries.summary import ContentSummary
 from tests.test_columnar_equivalence import _synthetic_cell
 
@@ -59,32 +61,16 @@ def cell():
     return _synthetic_cell(shared_vocab=True)
 
 
-def serial_select(searcher, query, algorithm, strategy, k):
-    """The serial reference outcome: ``choose_summaries`` and
-    ``rank_databases`` on freshly prepared scorers, over the
-    metasearcher's own summaries (no engines, matrices or caches)."""
-    sampled = searcher.sampled_summaries
-    decisions = None
-    if strategy == "plain":
-        summaries = sampled
-    elif strategy == "universal":
-        summaries = searcher.shrunk_summaries
-    else:
-        decider = searcher.make_scorer(algorithm)
-        decider.prepare(sampled)
-        summaries, decisions = choose_summaries(
-            decider,
-            query,
-            dict(sampled),
-            dict(searcher.shrunk_summaries),
-            searcher.adaptive_config,
+def assert_serial(searcher, query, algorithm, strategy, k, prune=False):
+    """One select of ``searcher`` passes the serial oracle."""
+
+    def select(terms, algorithm, strategy, k):
+        return searcher.select(
+            terms, algorithm=algorithm, strategy=strategy, k=k, prune=prune
         )
-    ranking = rank_databases(searcher.make_scorer(algorithm), query, summaries)
-    return SelectionOutcome(
-        names=[entry.name for entry in ranking if entry.selected][:k],
-        scores={entry.name: entry.score for entry in ranking},
-        decisions=decisions,
-    )
+
+    report = oracle.sweep(searcher, [select], [query], algorithm, strategy, k)
+    assert report["wrong"] == 0, report["examples"]
 
 
 @pytest.fixture(scope="module")
@@ -93,36 +79,31 @@ def searcher(cell):
     return Metasearcher(hierarchy, summaries, classifications)
 
 
-def assert_outcomes_identical(batched_outcome, serial_outcome):
-    assert batched_outcome.names == serial_outcome.names
-    assert set(batched_outcome.scores) == set(serial_outcome.scores)
-    for name, score in batched_outcome.scores.items():
-        other = serial_outcome.scores[name]
-        assert score == other, (
-            f"{name}: batched {score!r} != serial {other!r}"
-        )
-
-
 class TestMetasearcherBitIdentity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_select_identical(self, searcher, algorithm, strategy):
         for query in QUERIES:
-            b = searcher.select(
-                query, algorithm=algorithm, strategy=strategy, k=5
-            )
-            s = serial_select(searcher, query, algorithm, strategy, 5)
-            assert_outcomes_identical(b, s)
+            assert_serial(searcher, query, algorithm, strategy, 5)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_adaptive_decisions_identical(self, searcher, algorithm):
+        sampled = searcher.sampled_summaries
         for query in QUERIES:
             b = searcher.select(
                 query, algorithm=algorithm, strategy="shrinkage", k=5
             )
-            s = serial_select(searcher, query, algorithm, "shrinkage", 5)
-            assert b.decisions is not None and s.decisions is not None
-            assert b.decisions == s.decisions
+            decider = searcher.make_scorer(algorithm)
+            decider.prepare(sampled)
+            _, decisions = choose_summaries(
+                decider,
+                query,
+                dict(sampled),
+                dict(searcher.shrunk_summaries),
+                searcher.adaptive_config,
+            )
+            assert b.decisions is not None
+            assert b.decisions == decisions
 
 
 class TestEngineVsRankDatabases:
@@ -217,16 +198,10 @@ class TestUnsupportedSets:
         for algorithm in ALGORITHMS:
             for strategy in STRATEGIES:
                 for prune in (False, True):
-                    b = own_vocab.select(
-                        ["gen000", "gen004"], algorithm=algorithm,
-                        strategy=strategy, k=4, prune=prune,
+                    assert_serial(
+                        own_vocab, ["gen000", "gen004"], algorithm, strategy,
+                        4, prune=prune,
                     )
-                    s = serial_select(
-                        own_vocab, ["gen000", "gen004"], algorithm, strategy, 4
-                    )
-                    assert b.names == s.names
-                    for name, score in b.scores.items():
-                        assert score == s.scores[name]
 
 
 def _word_pool(summaries):
@@ -248,9 +223,7 @@ class TestRandomQueriesProperty:
         query = data.draw(st.lists(term, min_size=0, max_size=5))
         algorithm = data.draw(st.sampled_from(ALGORITHMS))
         strategy = data.draw(st.sampled_from(STRATEGIES))
-        b = searcher.select(query, algorithm=algorithm, strategy=strategy, k=4)
-        s = serial_select(searcher, query, algorithm, strategy, 4)
-        assert_outcomes_identical(b, s)
+        assert_serial(searcher, query, algorithm, strategy, 4)
 
 
 # -- the column store against scored_lookup -------------------------------------

@@ -117,8 +117,44 @@ class TestParser:
         assert args.trajectory == "t.json"
         assert args.url is None
 
+    def test_loadgen_refuses_verify_responses_against_a_url(self, capsys):
+        # A remote server's cell is out of reach, so the sweep could not
+        # run: refused at parse time instead of silently skipped.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["loadgen", "--url", "http://127.0.0.1:1", "--verify-responses"]
+            )
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestCommands:
+    def test_query_into_a_closed_pipe_exits_quietly(self, monkeypatch):
+        # `repro query ... | head -3`: the reader goes away mid-ranking.
+        from repro.serving.client import ServingClient
+
+        response = {
+            "query": ["breast", "cancer"], "algorithm": "cori",
+            "strategy": "shrinkage", "k": 2, "degraded": False,
+            "cached": False, "selected": ["db1"],
+            "ranking": [
+                {"name": "db1", "score": 0.5, "selected": True},
+                {"name": "db2", "score": 0.25, "selected": False},
+            ],
+        }
+        monkeypatch.setattr(
+            ServingClient, "select", lambda self, *args, **kwargs: response
+        )
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        for extra in ([], ["--json"]):
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            argv = ["query", "breast", "cancer", "--url", "http://127.0.0.1:1"]
+            assert main(argv + extra) == 0
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out

@@ -36,7 +36,7 @@ from repro.serving.service import (
     parse_update_request,
 )
 from repro.summaries.summary import SampledSummary
-from tests.test_batch_equivalence import serial_select
+from tests.test_batch_equivalence import assert_serial
 from tests.test_columnar_equivalence import _synthetic_cell
 
 try:
@@ -444,22 +444,15 @@ class TestStoreLoadedCell:
         for algorithm in ("bgloss", "cori", "lm"):
             for strategy in ("plain", "universal", "shrinkage", "hierarchical"):
                 for prune in (False, True):
-                    outcome = searcher.select(
-                        query, algorithm=algorithm, strategy=strategy,
-                        k=3, prune=prune,
-                    )
                     if strategy == "hierarchical":
-                        continue
-                    reference = serial_select(
-                        searcher, query, algorithm, strategy, 3
-                    )
-                    assert outcome.names == reference.names, (
-                        algorithm, strategy, prune
-                    )
-                    for name, score in outcome.scores.items():
-                        assert score == reference.scores[name], (
-                            algorithm, strategy, name
+                        searcher.select(
+                            query, algorithm=algorithm, strategy=strategy,
+                            k=3, prune=prune,
                         )
+                        continue
+                    assert_serial(
+                        searcher, query, algorithm, strategy, 3, prune=prune
+                    )
 
     def test_first_swap_reruns_em_only_for_the_touched_database(
         self, micro_scale, micro_store

@@ -114,10 +114,13 @@ class TestWorkerPoolServing:
                         assert (
                             observed["selected"] == expected["selected"]
                         )
-            for _ in range(16):
+            # Which worker accepts a connection on the shared socket is
+            # the kernel's choice: probe until both have answered, up to
+            # a fixed bound.
+            for _ in range(200):
                 pids.add(client.healthz()["pid"])
-            # The kernel balances accepts; with 16 probes both workers
-            # should have answered at least once.
+                if len(pids) == 2:
+                    break
             assert pids <= set(pool.worker_pids)
             assert len(pids) == 2
 

@@ -5,10 +5,10 @@ The contract under test (DESIGN.md §5j):
 * :class:`~repro.serving.loadgen.WorkloadSpec` generates seeded
   Zipf-skewed query popularity, burst/ramp arrival schedules, and mixed
   query/update streams — deterministically.
-* The epoch-keyed response cache survives hot swaps for databases the
-  update provably did not touch, and every retained entry is bitwise
-  what a cold cache would recompute (the shrinkage paper's bit-identity
-  bar applied to serving).
+* The epoch-keyed response cache survives a hot swap whole when the
+  update left the cell unchanged and not at all otherwise, and every
+  answer, retained or fresh, is bitwise the serial ranking (the
+  shrinkage paper's bit-identity bar applied to serving).
 * Admission control sheds excess load with
   :class:`~repro.serving.admission.ServiceOverloaded` (HTTP 429 +
   ``Retry-After``) *before* the degradation deadline, and no request is
@@ -22,7 +22,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.selection import oracle
 from repro.selection.metasearcher import Metasearcher
 from repro.serving.admission import AdmissionController, ServiceOverloaded
 from repro.serving.loadgen import (
@@ -30,7 +33,6 @@ from repro.serving.loadgen import (
     generate_queries,
     parse_workload,
     run_load,
-    verify_cached_responses,
 )
 from repro.serving.server import make_server
 from repro.serving.service import (
@@ -64,6 +66,27 @@ def _semantic(response: dict) -> tuple:
             (entry["name"], entry["score"], entry["selected"])
             for entry in response["ranking"]
         ],
+    )
+
+
+def _sweep(service: SelectionService, queries, algorithm: str, strategy: str) -> dict:
+    """The oracle's verdict on the service's answers to ``queries``' distinct
+    canonical forms (cached or freshly scored) against the current cell."""
+    distinct = list(
+        dict.fromkeys(canonical_terms(normalize_query(q)) for q in queries)
+    )
+
+    def select(terms, algorithm, strategy, k):
+        return service.select(terms, algorithm=algorithm, strategy=strategy, k=k)
+
+    return oracle.sweep(
+        service.metasearcher,
+        [select],
+        distinct,
+        algorithm,
+        strategy,
+        service.config.default_k,
+        limit=service.config.ranking_limit,
     )
 
 
@@ -399,6 +422,7 @@ class TestEpochKeyedRetention:
         service.select(["gen000"], algorithm="cori", strategy="plain")
         service.select(["gen000"], algorithm="cori", strategy="shrinkage")
         assert len(service.snapshot.cache) == 3
+        keys = [key for key, _ in service.snapshot.cache.items()]
 
         victim = list(service.metasearcher.sampled_summaries)[-1]
         result = service.apply_update(
@@ -407,16 +431,16 @@ class TestEpochKeyedRetention:
                 {"op": "restore", "name": victim},
             ]
         )
-        # The cancelling pair leaves every summary object in place —
-        # nothing was touched — so the per-database proof carries the
-        # bGlOSS/plain entry; collection-stat entries (CORI) and the
-        # recomputed-shrunk entry are dropped.
+        # The cancelling pair leaves the cell as it was — the same
+        # summary and aggregate objects, every R(D) reused — so every
+        # entry survives, collection-statistic (CORI) and shrinkage ones
+        # included.
+        assert result["unchanged"] is True
+        assert result["changed_paths"] == 0
+        assert result["em_recomputed"] == 0
         assert result["touched_databases"] == []
-        assert result["response_cache_retained"] == 1
-        keys = [key for key, _ in service.snapshot.cache.items()]
-        assert keys == [
-            ("bgloss", "plain", canonical_terms(["gen000", "gen001"]), 5)
-        ]
+        assert result["response_cache_retained"] == 3
+        assert [key for key, _ in service.snapshot.cache.items()] == keys
 
         again = service.select(
             ["gen001", "gen000"], algorithm="bgloss", strategy="plain"
@@ -443,11 +467,9 @@ class TestEpochKeyedRetention:
         for query in stream[30:]:
             service.select(query, algorithm="bgloss", strategy="plain")
 
-        # Sweep 1: every served (cached or fresh) response matches fresh
-        # scoring on the current snapshot bit for bit.
-        sweep = verify_cached_responses(
-            service, stream, algorithm="bgloss", strategy="plain", k=5
-        )
+        # Sweep 1: every served (cached or fresh) response matches the
+        # serial ranking of the current cell bit for bit.
+        sweep = _sweep(service, stream, "bgloss", "plain")
         assert sweep["wrong"] == 0, sweep
         assert sweep["checked"] == len({
             canonical_terms(normalize_query(q)) for q in stream
@@ -468,8 +490,6 @@ class TestEpochKeyedRetention:
     def test_replace_invalidates_entries_citing_the_touched_database(self):
         service = _make_service(strategies=("plain",))
         service.select(["gen000"], algorithm="bgloss", strategy="plain")
-        # Full (unlimited) rankings name every database, so replacing
-        # any one database bumps a revision every entry depends on.
         victim = list(service.metasearcher.sampled_summaries)[0]
         result = service.apply_update(
             [
@@ -481,63 +501,11 @@ class TestEpochKeyedRetention:
             ]
         )
         assert result["touched_databases"] == [victim]
+        assert result["unchanged"] is False
         assert result["response_cache_retained"] == 0
         response = service.select(["gen000"], algorithm="bgloss", strategy="plain")
         assert response["cached"] is False
         assert response["snapshot_version"] == service.snapshot.version
-
-    def test_truncated_ranking_survives_when_no_break_in_possible(self):
-        # ranking_limit truncates the cached ranking; retention must
-        # prove the replaced database cannot break into it. A summary
-        # with zero probability for the query term scores 0.0 — it can
-        # never displace a positive cutoff.
-        service = _make_service(strategies=("plain",), ranking_limit=2, default_k=2)
-        response = service.select(["gen000"], algorithm="bgloss", strategy="plain")
-        cited = set(response["selected"]) | {
-            entry["name"] for entry in response["ranking"]
-        }
-        outside = [
-            name
-            for name in service.metasearcher.sampled_summaries
-            if name not in cited
-        ]
-        if not outside or response["ranking"][-1]["score"] <= 0.0:
-            pytest.skip("synthetic cell left no uncited database to replace")
-        victim = outside[-1]
-        rng = np.random.default_rng(3)
-        words = [f"zzz{i:03d}" for i in range(10)]
-        from repro.summaries.summary import SampledSummary
-
-        sample_df = {w: int(rng.integers(1, 21)) for w in words}
-        sample_tf = {w: c + 2 for w, c in sample_df.items()}
-        total_tf = sum(sample_tf.values())
-        zero_overlap = SampledSummary(
-            size=130,
-            df_probs={w: c / 20 for w, c in sample_df.items()},
-            tf_probs={w: c / total_tf for w, c in sample_tf.items()},
-            sample_size=20,
-            sample_df=sample_df,
-            alpha=-1.1,
-            sample_tf=sample_tf,
-        )
-        result = service.apply_update(
-            [
-                {
-                    "op": "replace",
-                    "name": victim,
-                    "summary": summary_payload(zero_overlap),
-                }
-            ]
-        )
-        assert result["response_cache_retained"] == 1
-        again = service.select(["gen000"], algorithm="bgloss", strategy="plain")
-        assert again["cached"] is True
-        assert _semantic(again) == _semantic(response)
-        # And the retained bits are exactly what fresh scoring computes.
-        sweep = verify_cached_responses(
-            service, [["gen000"]], algorithm="bgloss", strategy="plain", k=2
-        )
-        assert sweep["wrong"] == 0, sweep
 
     def test_remove_then_restore_does_not_revive_stale_entries(self):
         service = _make_service(strategies=("plain",))
@@ -546,54 +514,36 @@ class TestEpochKeyedRetention:
         first = service.apply_update([{"op": "remove", "name": victim}])
         assert first["response_cache_retained"] == 0
         second = service.apply_update([{"op": "restore", "name": victim}])
-        # Membership changed both times: nothing may carry over, and the
-        # original epoch-0 entry (citing the victim at revision 0) must
-        # be long gone even though the final cell equals the initial one.
+        # Each update changed the cell it started from: nothing may carry
+        # over, even though the final cell equals the initial one.
         assert second["response_cache_retained"] == 0
         response = service.select(["gen000"], algorithm="bgloss", strategy="plain")
         assert response["cached"] is False
-        sweep = verify_cached_responses(
-            service, [["gen000"]], algorithm="bgloss", strategy="plain", k=5
-        )
+        sweep = _sweep(service, [["gen000"]], "bgloss", "plain")
         assert sweep["wrong"] == 0, sweep
 
     def test_carry_cache_identical_cell_retains_everything(self):
-        # The identical-cell and plain-identical proofs trigger when the
-        # updater proves summaries/aggregates/shrunk unchanged; drive
-        # _carry_cache directly to pin the class logic.
+        # Drive _carry_cache directly: an unchanged cell keeps every
+        # entry, in recency order; any change keeps none.
         from repro.core.lru import LruCache
 
         service = _make_service(strategies=("plain", "shrinkage"))
         service.select(["gen000"], algorithm="cori", strategy="shrinkage")
         service.select(["gen000"], algorithm="cori", strategy="plain")
         previous = service.snapshot
-        info_identical = {
-            "touched_databases": [],
-            "removed_databases": [],
-            "added_databases": [],
-            "summaries_identical": True,
-            "aggregates_identical": True,
-            "shrunk_identical": True,
-        }
         cache = LruCache(previous.cache.maxsize)
-        kept = service._carry_cache(
-            previous, service.metasearcher, info_identical, cache
-        )
-        assert kept == 2
-        assert len(cache) == 2
-
-        info_plain = dict(info_identical, shrunk_identical=False)
+        assert service._carry_cache(previous, {"unchanged": True}, cache) == 2
+        assert [key for key, _ in cache.items()] == [
+            key for key, _ in previous.cache.items()
+        ]
         cache = LruCache(previous.cache.maxsize)
-        kept = service._carry_cache(
-            previous, service.metasearcher, info_plain, cache
-        )
-        assert kept == 1
-        keys = [key for key, _ in cache.items()]
-        assert keys == [("cori", "plain", ("gen000",), 5)]
+        assert service._carry_cache(previous, {"unchanged": False}, cache) == 0
+        assert len(cache) == 0
 
     def test_pruned_service_never_uses_the_granular_proof(self):
         service = _make_service(strategies=("plain",), prune=True)
         service.select(["gen000"], algorithm="bgloss", strategy="plain")
+        service.select(["gen000"], algorithm="lm", strategy="plain")
         victim = list(service.metasearcher.sampled_summaries)[-1]
         result = service.apply_update(
             [
@@ -601,9 +551,135 @@ class TestEpochKeyedRetention:
                 {"op": "restore", "name": victim},
             ]
         )
-        # A pruned scan's candidate pool depends on every matrix row, so
-        # the per-database proof is off the table.
-        assert result["response_cache_retained"] == 0
+        # A pruned answer's candidate pool depends on every row, which an
+        # unchanged cell leaves as it was: a pruned service keeps
+        # everything too.
+        assert result["unchanged"] is True
+        assert result["response_cache_retained"] == 2
+        for algorithm in ("bgloss", "lm"):
+            again = service.select(["gen000"], algorithm=algorithm, strategy="plain")
+            assert again["cached"] is True
+            sweep = _sweep(service, [["gen000"]], algorithm, "plain")
+            assert sweep["wrong"] == 0, sweep
+
+
+_PATHS = [
+    ["Root", "Health", "Diseases", "Cancer"],
+    ["Root", "Computers", "Programming", "Java"],
+]
+_PROBES = [["gen000", "gen001"], ["cancer000"], ["java002", "zz-oov"]]
+
+
+def _batch(service: SelectionService, moves) -> list[dict]:
+    """Valid ops for random (kind, slot) moves: adds, removes, restores
+    of databases removed earlier in the batch, no-op replaces (a
+    database's own payload) and real replaces."""
+    original = dict(service.metasearcher.sampled_summaries)
+    present = set(original)
+    removed: set[str] = set()
+    ops = []
+    for index, (kind, slot) in enumerate(moves):
+        name = f"db{slot:02d}" if slot < 8 else f"new{slot}"
+        if kind == "remove" and name in present:
+            ops.append({"op": "remove", "name": name})
+            present.discard(name)
+            removed.add(name)
+        elif kind == "restore" and name in removed:
+            ops.append({"op": "restore", "name": name})
+            removed.discard(name)
+            present.add(name)
+        elif kind == "add" and name not in present and name not in original:
+            ops.append({
+                "op": "add",
+                "name": name,
+                "summary": summary_payload(_fresh_summary("java", seed=300 + index)),
+                "path": _PATHS[slot % len(_PATHS)],
+            })
+            present.add(name)
+        elif kind == "noop" and name in present and name in original:
+            ops.append({
+                "op": "replace",
+                "name": name,
+                "summary": summary_payload(original[name]),
+            })
+        elif kind == "replace" and name in present:
+            ops.append({
+                "op": "replace",
+                "name": name,
+                "summary": summary_payload(_fresh_summary("aids", seed=400 + index)),
+            })
+    return ops if present else []
+
+
+class TestUnchangedProperty:
+    @settings(deadline=None, max_examples=15)
+    @given(
+        moves=st.lists(
+            st.tuples(
+                st.sampled_from(["remove", "restore", "add", "noop", "replace"]),
+                st.integers(min_value=0, max_value=9),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        prune=st.booleans(),
+    )
+    @example(moves=[("remove", 7), ("restore", 7)], prune=False)
+    @example(moves=[("remove", 3), ("restore", 3)], prune=True)
+    @example(moves=[("noop", 5)], prune=True)
+    @example(moves=[("remove", 2), ("noop", 4), ("restore", 2)], prune=False)
+    @example(moves=[("replace", 1)], prune=False)
+    @example(moves=[("add", 8), ("remove", 8)], prune=True)
+    def test_cache_survives_exactly_an_unchanged_cell(self, moves, prune):
+        service = _make_service(prune=prune)
+        ops = _batch(service, moves)
+        if not ops:
+            return
+        combos = [
+            (algorithm, strategy)
+            for algorithm in ("bgloss", "cori", "lm")
+            for strategy in ("plain", "shrinkage", "universal")
+        ]
+        for algorithm, strategy in combos:
+            for query in _PROBES:
+                service.select(query, algorithm=algorithm, strategy=strategy)
+        before = service.metasearcher
+        cached = len(service.snapshot.cache)
+
+        result = service.apply_update(ops)
+        after = service.metasearcher
+        # A batch that nets out (remove+restore pairs, no-op replaces, an
+        # added database removed again) gives back every database's
+        # summary object in the old order: the cell must be unchanged.
+        nets_out = list(after.sampled_summaries) == list(
+            before.sampled_summaries
+        ) and all(
+            after.sampled_summaries[name] is summary
+            for name, summary in before.sampled_summaries.items()
+        )
+        same_objects = (
+            list(after.sampled_summaries) == list(before.sampled_summaries)
+            and all(
+                after.sampled_summaries[name] is summary
+                and after.shrunk_summaries[name] is before.shrunk_summaries[name]
+                for name, summary in before.sampled_summaries.items()
+            )
+            and all(
+                after.builder._aggregates[path] is aggregate
+                for path, aggregate in before.builder._aggregates.items()
+            )
+        )
+        assert result["unchanged"] is same_objects
+        assert nets_out is same_objects
+        kept = cached if same_objects else 0
+        assert result["response_cache_retained"] == kept
+        assert len(service.snapshot.cache) == kept
+        if same_objects:
+            assert result["em_recomputed"] == 0
+            assert result["changed_paths"] == 0
+        for algorithm, strategy in combos:
+            sweep = _sweep(service, _PROBES, algorithm, strategy)
+            assert sweep["wrong"] == 0, sweep
 
 
 class TestAdmissionController:
