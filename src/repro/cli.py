@@ -719,11 +719,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
             f"changed paths {response['changed_paths']}, "
             f"build {response['build_seconds']:.3f}s, "
             f"swap {response['swap_seconds'] * 1000:.2f}ms"
-            + (
-                " [lifecycle cache hit]"
-                if response.get("lifecycle_cache_hit")
-                else ""
-            )
         )
     verification = response.get("verification")
     if verification is not None and not args.json:

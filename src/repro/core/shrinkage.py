@@ -35,6 +35,7 @@ from repro.summaries.summary import (
     IdProbs,
     SampledSummary,
     rehome_summary,
+    sorted_union,
 )
 
 
@@ -297,9 +298,9 @@ def _mix_arrays(
     lambdas: Sequence[float],
 ) -> IdProbs:
     """Materialize pR(w|D) over the union of the component vocabularies."""
-    ids = db_ids
-    for summary in components:
-        ids = np.union1d(ids, summary.regime_arrays(regime)[0])
+    ids = sorted_union(
+        db_ids, *(summary.regime_arrays(regime)[0] for summary in components)
+    )
     values = np.full(ids.size, lambdas[0] * uniform_probability)
     for j, summary in enumerate(components, start=1):
         values = values + lambdas[j] * summary.lookup_ids(ids, regime)

@@ -383,22 +383,6 @@ def _shrunk_config(
     }
 
 
-def lifecycle_base_config(
-    dataset: str,
-    sampler: str = "qbs",
-    frequency_estimation: bool = False,
-    scale: str = "bench",
-) -> dict:
-    """The base-cell configuration lifecycle artifacts are keyed under.
-
-    A serving-time update journal applied to this cell is persisted under
-    ``fingerprint({"artifact": "lifecycle", "base": <this>, "journal": ...})``
-    — the same envelope as the cell's shrunk artifact, so invalidating
-    the base cell invalidates every journal built on it.
-    """
-    return _shrunk_config(dataset, sampler, frequency_estimation, scale)
-
-
 def cache_keys(
     dataset: str,
     sampler: str = "qbs",

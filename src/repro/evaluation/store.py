@@ -67,11 +67,8 @@ from repro.summaries.io import (
     summary_to_dict,
 )
 
-#: Artifact kinds the store recognises, in pipeline order. ``lifecycle``
-#: holds serving-time update journals: the shrunk state reached by a
-#: sequence of live ``repro update`` operations, keyed by the base cell's
-#: shrunk fingerprint plus a digest of the op journal.
-ARTIFACT_KINDS = ("testbed", "samples", "summaries", "shrunk", "lifecycle")
+#: Artifact kinds the store recognises, in pipeline order.
+ARTIFACT_KINDS = ("testbed", "samples", "summaries", "shrunk")
 
 #: On-disk format version; bump on incompatible layout changes.
 STORE_VERSION = 1

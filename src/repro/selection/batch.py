@@ -46,7 +46,7 @@ import numpy as np
 from repro.core.lru import MISSING, LruCache
 from repro.core.shrinkage import ShrunkSummary
 from repro.selection.base import DatabaseScorer, RankedDatabase
-from repro.summaries.summary import ContentSummary
+from repro.summaries.summary import ContentSummary, sorted_union
 
 #: Resolved query-id arrays cached per matrix (bounded for serve).
 _QUERY_IDS_CACHE_SIZE = 512
@@ -85,13 +85,7 @@ def _row_entries(
     if ids is support:
         return ids, np.where(positive, values, 0.0)
     kept = ids[positive]
-    # Sorted union of two sorted id arrays (sorting beats np.union1d's
-    # hashing here by several times).
-    merged = np.concatenate((support, kept))
-    merged.sort()
-    distinct = np.ones(merged.size, dtype=bool)
-    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
-    entry_ids = merged[distinct]
+    entry_ids = sorted_union(support, kept)
     entries = np.zeros(entry_ids.size, dtype=np.float64)
     entries[np.searchsorted(entry_ids, kept)] = values[positive]
     return entry_ids, entries

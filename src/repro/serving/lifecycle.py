@@ -32,10 +32,10 @@ component of every mixture. Shrunk-summary reuse therefore fires only
 when a database's whole ancestor chain survived bitwise (cancelling or
 idempotent op sequences); the second line of defence is an exact
 EM-input digest cache (:func:`repro.core.shrinkage.em_input_digest`),
-which skips EM re-runs whenever the column matrix recurs, and the third
-is the artifact store: the shrunk state reached by an op journal is
-persisted under the ``lifecycle`` kind, so replaying the same journal on
-the same base cell is a cache load, not an EM run.
+which skips EM re-runs whenever the column matrix recurs. An update's
+R(D) live in memory only. A cell that holds no R(D) (a universe cell
+served plain-only) gets none from an update either: it computes them
+from its own builder if something asks, exactly as a rebuild would.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ from repro.summaries.summary import (
 #: Bound on the updater's exact EM-input digest → lambdas cache.
 EM_CACHE_SIZE = 4096
 
-#: Part of every lifecycle artifact's store key. Version 2: ``restore``
-#: puts a database back at its old position in the cell's fold order, so
-#: shrunk sets saved when it appended must never be replayed.
-LIFECYCLE_ARTIFACT_VERSION = 2
-
 #: Operations :func:`canonical_op` accepts.
 _OP_KINDS = ("add", "remove", "replace", "resample", "restore")
 
@@ -75,7 +70,7 @@ def canonical_op(op: Mapping) -> dict:
 
     The canonical form is plain JSON data and *fully determines* the
     operation's effect given the journal prefix before it — which is what
-    makes the (base cell, journal) pair a sound artifact-store key.
+    lets a pool worker replay the dispatcher's journal to the same cell.
     Raises ``ValueError`` on anything malformed (the HTTP layer maps that
     to a 400).
     """
@@ -230,22 +225,20 @@ class CellUpdater:
     def __init__(
         self,
         metasearcher: Metasearcher,
-        store=None,
-        base_config: Mapping | None = None,
         harness_context: tuple[str, str, bool, str] | None = None,
     ) -> None:
         self._builder = metasearcher.builder
-        self._shrunk: dict[str, ShrunkSummary] = dict(
-            metasearcher.shrunk_summaries
+        #: R(D) are carried only for a cell that already holds them: a
+        #: universe cell served plain-only never computes them, so its
+        #: updates run no EM.
+        self._shrunk: dict[str, ShrunkSummary] | None = (
+            dict(metasearcher.shrunk_summaries)
+            if metasearcher.has_shrunk_summaries()
+            else None
         )
         self.hierarchy = metasearcher.hierarchy
         self.shrinkage_config = metasearcher.shrinkage_config
         self.adaptive_config = metasearcher.adaptive_config
-        #: Artifact store for lifecycle persistence (optional).
-        self.store = store
-        #: The base cell's shrunk-artifact configuration; with ``store``,
-        #: (base_config, journal) keys the persisted lifecycle states.
-        self.base_config = dict(base_config) if base_config is not None else None
         #: (dataset, sampler, frequency_estimation, scale) when the cell
         #: came from the harness; required for ``resample`` ops.
         self.harness_context = harness_context
@@ -267,8 +260,7 @@ class CellUpdater:
         A ``resample`` is drawn here, once, and journaled as the
         ``replace`` it amounts to, carrying the drawn summary's payload.
         Only this process reads the documents: pool workers replaying a
-        flip suffix, a restart replaying the journal, and lifecycle
-        artifact keys all see a plain ``replace``.
+        flip suffix see a plain ``replace``.
         """
         if op["op"] != "resample":
             return op
@@ -295,8 +287,8 @@ class CellUpdater:
         The current builder is never mutated — a failed op leaves the
         updater (and every published snapshot) exactly as it was. On
         success the updater advances to the new state and the returned
-        metasearcher carries the patched builder and the minimally
-        recomputed shrunk set.
+        metasearcher carries the patched builder and, when the updater
+        carries R(D), the minimally recomputed shrunk set.
         """
         from repro.evaluation.instrument import count, span
 
@@ -366,19 +358,19 @@ class CellUpdater:
             changed = working.settle(self._builder, changed)
             summaries = working.database_summaries()
             classifications = working.database_classifications()
-            journal = self.journal + ops
 
-            shrunk, reused, em_ran, cache_hit = self._recompute_shrunk(
-                working,
-                summaries,
-                classifications,
-                changed,
-                previous_summaries,
-                uniform_same=(
-                    working.uniform_probability() == uniform_before
-                ),
-                journal=journal,
-            )
+            shrunk, reused, em_ran = None, 0, 0
+            if self._shrunk is not None:
+                shrunk, reused, em_ran = self._recompute_shrunk(
+                    working,
+                    summaries,
+                    classifications,
+                    changed,
+                    previous_summaries,
+                    uniform_same=(
+                        working.uniform_probability() == uniform_before
+                    ),
+                )
 
         metasearcher = Metasearcher(
             self.hierarchy,
@@ -388,16 +380,17 @@ class CellUpdater:
             adaptive_config=self.adaptive_config,
             builder=working,
         )
-        metasearcher.set_shrunk_summaries(shrunk)
+        if shrunk is not None:
+            metasearcher.set_shrunk_summaries(shrunk)
 
         # Commit: only reached when every op (and the recompute) succeeded.
         self._builder = working
-        self._shrunk = dict(shrunk)
+        self._shrunk = shrunk
         self._removed.update(removed_now)
         for name in list(self._removed):
             if name in classifications:
                 del self._removed[name]
-        self.journal = journal
+        self.journal = self.journal + ops
 
         count("lifecycle.ops", len(ops))
         count("lifecycle.shrunk_reused", reused)
@@ -418,17 +411,17 @@ class CellUpdater:
             "changed_paths": len(changed),
             "shrunk_reused": reused,
             "em_recomputed": em_ran,
-            "lifecycle_cache_hit": cache_hit,
-            "journal_length": len(journal),
+            "journal_length": len(self.journal),
             "touched_databases": touched,
             # The cell computes bitwise what it did before: the same
             # summary objects in the same order (collection statistics
-            # fold in dict order), no aggregate moved, and every R(D) is
-            # the previous object. The response cache survives only this.
+            # fold in dict order), no aggregate moved, and every carried
+            # R(D) is the previous object. The response cache survives
+            # only this.
             "unchanged": list(previous_summaries) == list(summaries)
             and not touched
             and not changed
-            and reused == len(summaries),
+            and (shrunk is None or reused == len(summaries)),
         }
         return metasearcher, info
 
@@ -440,9 +433,8 @@ class CellUpdater:
         changed: set[tuple[str, ...]],
         previous_summaries: Mapping[str, ContentSummary],
         uniform_same: bool,
-        journal: list[dict],
-    ) -> tuple[dict[str, ShrunkSummary], int, int, bool]:
-        """Post-op shrunk set: store replay, object reuse, or fresh EM.
+    ) -> tuple[dict[str, ShrunkSummary], int, int]:
+        """Post-op shrunk set: object reuse or fresh EM.
 
         A previous R(D) is reused wholesale only when every EM input is
         the *same object or bitwise value* as before: the database's own
@@ -451,9 +443,6 @@ class CellUpdater:
         probability). Everything else goes through
         :func:`shrink_database_summary` with the exact digest cache.
         """
-        from repro.evaluation import store as store_mod
-        from repro.evaluation.instrument import count
-
         reusable = {
             name: previous
             for name, summary in summaries.items()
@@ -470,30 +459,7 @@ class CellUpdater:
         }
         if len(reusable) == len(summaries):
             # Nothing any R(D) depends on changed: keep every object.
-            return reusable, len(reusable), 0, False
-
-        key = None
-        config = None
-        if self.store is not None and self.base_config is not None:
-            config = {
-                "artifact": "lifecycle",
-                "version": LIFECYCLE_ARTIFACT_VERSION,
-                "base": self.base_config,
-                "journal": journal,
-            }
-            key = store_mod.fingerprint(config)
-            loaded = self.store.load_artifact(
-                "lifecycle", key, store_mod.shrunk_from_payload
-            )
-            if loaded is not None and set(loaded) == set(summaries):
-                count("lifecycle.cache_hit")
-                shrunk = {
-                    name: rehome_summary(
-                        loaded[name], working.vocab, base=summaries[name]
-                    )
-                    for name in summaries
-                }
-                return shrunk, 0, 0, True
+            return reusable, len(reusable), 0
 
         shrunk = {
             name: reusable.get(name)
@@ -507,16 +473,7 @@ class CellUpdater:
             for name, summary in summaries.items()
         }
         reused = len(reusable)
-        em_ran = len(summaries) - reused
-
-        if self.store is not None and key is not None:
-            self.store.save(
-                "lifecycle",
-                key,
-                store_mod.shrunk_to_payload(shrunk),
-                config=config,
-            )
-        return shrunk, reused, em_ran, False
+        return shrunk, reused, len(summaries) - reused
 
 
 def same_summary(

@@ -217,8 +217,6 @@ class SelectionService:
         self,
         metasearcher: Metasearcher,
         config: ServiceConfig | None = None,
-        store=None,
-        lifecycle_base: Mapping | None = None,
         harness_context: tuple[str, str, bool, str] | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
@@ -231,8 +229,6 @@ class SelectionService:
             created_at=time.time(),
             build_seconds=0.0,
         )
-        self._store = store
-        self._lifecycle_base = lifecycle_base
         self._harness_context = harness_context
         if self.config.slow_query_log_path:
             self.slow_query_log: SlowQueryLog | None = SlowQueryLog(
@@ -242,8 +238,9 @@ class SelectionService:
             )
         else:
             self.slow_query_log = SlowQueryLog.from_env()
-        #: Built lazily on first update (constructing it materializes the
-        #: shrunk summaries, which plain-only services never need).
+        #: Built on the first update, after warmup: it carries R(D) only
+        #: when the served cell holds them, so a plain-only universe
+        #: service's updates never run EM.
         self._updater: CellUpdater | None = None
         #: Serializes apply_update(); never taken on the request path.
         self._update_lock = threading.Lock()
@@ -276,9 +273,8 @@ class SelectionService:
         """Build a service by preloading a cell through the harness.
 
         Uses whatever harness configuration (artifact store, jobs) the
-        caller has applied; with a warm store this is load-only. The
-        harness's store and cell fingerprint are wired into the lifecycle
-        so live updates persist (and replay) through the same cache.
+        caller has applied; with a warm store this is load-only. Live
+        updates never write to the store: their R(D) live in memory.
         """
         from repro.evaluation import harness
         from repro.evaluation.instrument import span
@@ -305,13 +301,6 @@ class SelectionService:
             service = cls(
                 cell.metasearcher,
                 config,
-                store=harness.get_config().store,
-                lifecycle_base=harness.lifecycle_base_config(
-                    config.dataset,
-                    config.sampler,
-                    config.frequency_estimation,
-                    config.scale,
-                ),
                 harness_context=(
                     config.dataset,
                     config.sampler,
@@ -335,10 +324,7 @@ class SelectionService:
         self._warm(self._snapshot.metasearcher, self.config)
 
     @staticmethod
-    def _warm(
-        metasearcher: Metasearcher, config: ServiceConfig | None = None
-    ) -> None:
-        config = config or ServiceConfig()
+    def _warm(metasearcher: Metasearcher, config: ServiceConfig) -> None:
         for algorithm in _ALGORITHMS:
             for strategy in config.strategies:
                 metasearcher.select(
@@ -625,8 +611,6 @@ class SelectionService:
             if self._updater is None:
                 self._updater = CellUpdater(
                     previous.metasearcher,
-                    store=self._store,
-                    base_config=self._lifecycle_base,
                     harness_context=self._harness_context,
                 )
             start = time.perf_counter()
@@ -635,7 +619,7 @@ class SelectionService:
             if materialize is not None:
                 manifest = materialize(metasearcher, next_version)
             with span("lifecycle.warm", version=next_version):
-                self._warm(metasearcher)
+                self._warm(metasearcher, self.config)
             build_seconds = time.perf_counter() - start
             result = dict(info)
             if verify:

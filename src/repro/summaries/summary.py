@@ -63,6 +63,20 @@ def _coerce_regime(
     return ids, values
 
 
+def sorted_union(*arrays: np.ndarray) -> np.ndarray:
+    """The sorted distinct ids of one or more sorted distinct id arrays.
+
+    Equal in values and dtype to ``functools.reduce(np.union1d, arrays)``,
+    but one concatenate and sort beats ``np.union1d``'s hashed ``unique``
+    by several times.
+    """
+    merged = np.concatenate(arrays)
+    merged.sort()
+    distinct = np.ones(merged.size, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=distinct[1:])
+    return merged[distinct]
+
+
 class ContentSummary:
     """Content summary of a text database or a category.
 

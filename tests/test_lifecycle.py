@@ -18,7 +18,6 @@ import pytest
 
 from repro.evaluation import harness
 from repro.evaluation.instrument import get_instrumentation
-from repro.evaluation.store import ArtifactStore
 from repro.selection import metasearcher as metasearcher_module
 from repro.selection.metasearcher import Metasearcher
 from repro.serving.client import ServingClient, ServingError
@@ -48,9 +47,14 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
     HAVE_HYPOTHESIS = False
 
 
-def _metasearcher() -> Metasearcher:
+def _metasearcher(shrunk: bool = True) -> Metasearcher:
+    """The synthetic cell; with ``shrunk`` it holds R(D), as a cell that
+    serves them does, so an updater built on it carries them."""
     hierarchy, summaries, classifications = _synthetic_cell(shared_vocab=True)
-    return Metasearcher(hierarchy, summaries, classifications)
+    metasearcher = Metasearcher(hierarchy, summaries, classifications)
+    if shrunk:
+        metasearcher.shrunk_summaries
+    return metasearcher
 
 
 def _fresh_summary(topic: str = "cancer", seed: int = 99) -> SampledSummary:
@@ -483,41 +487,6 @@ class TestStoreLoadedCell:
         assert info["shrunk_reused"] == len(searcher.sampled_summaries) - 1
 
 
-class TestLifecycleStore:
-    def test_journal_replay_is_a_cache_load(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        base = {"cell": "synthetic", "seed": 1}
-        ops = [{"op": "remove", "name": "db03"}]
-
-        first_updater = CellUpdater(
-            _metasearcher(), store=store, base_config=base
-        )
-        first, info = first_updater.apply(ops)
-        assert not info["lifecycle_cache_hit"]
-
-        replay_updater = CellUpdater(
-            _metasearcher(), store=store, base_config=base
-        )
-        replayed, replay_info = replay_updater.apply(ops)
-        assert replay_info["lifecycle_cache_hit"]
-        assert replay_info["em_recomputed"] == 0
-        for name, shrunk in replayed.shrunk_summaries.items():
-            assert shrunk.lambdas == first.shrunk_summaries[name].lambdas
-        # Store-loaded summaries were re-homed into the live vocabulary:
-        # the replayed cell still passes full bit-identity verification.
-        _assert_verified(replayed)
-
-    def test_different_journal_is_not_a_hit(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        base = {"cell": "synthetic", "seed": 1}
-        updater = CellUpdater(_metasearcher(), store=store, base_config=base)
-        updater.apply([{"op": "remove", "name": "db03"}])
-
-        other = CellUpdater(_metasearcher(), store=store, base_config=base)
-        _, info = other.apply([{"op": "remove", "name": "db02"}])
-        assert not info["lifecycle_cache_hit"]
-
-
 def _make_service(**config_kwargs) -> SelectionService:
     defaults = dict(
         scale="synthetic", request_timeout_seconds=None, default_k=5
@@ -560,6 +529,40 @@ class TestServiceLifecycle:
         )
         assert result["verification"]["verified"], result["verification"]
         assert result["verification"]["max_lambda_delta"] == 0.0
+
+    def test_plain_only_updates_run_no_em(self):
+        """A plain-only cell holds no R(D) and an update gives it none:
+        no EM runs, only the plain matrix is built, and the updated cell
+        still equals a rebuild bit for bit."""
+        service = SelectionService(
+            _metasearcher(shrunk=False),
+            ServiceConfig(
+                scale="synthetic",
+                request_timeout_seconds=None,
+                default_k=5,
+                strategies=("plain",),
+            ),
+        )
+        service.warmup()
+        counters = get_instrumentation().counters
+
+        def em_count() -> int:
+            return counters.get("em.runs", 0) + counters.get("em.cache_hit", 0)
+
+        for ops in (
+            [{"op": "remove", "name": "db03"}],
+            [{"op": "restore", "name": "db03"}],
+            [{"op": "remove", "name": "db05"}, {"op": "restore", "name": "db05"}],
+        ):
+            before = em_count()
+            result = service.apply_update(ops)
+            assert em_count() == before
+            assert (result["em_recomputed"], result["shrunk_reused"]) == (0, 0)
+            metasearcher = service.metasearcher
+            assert not metasearcher.has_shrunk_summaries()
+            assert set(metasearcher.engine_matrices()) == {"set:plain"}
+            _assert_verified(metasearcher)
+        assert result["unchanged"]
 
     def test_malformed_update_leaves_snapshot(self):
         service = _make_service()

@@ -209,3 +209,15 @@ class TestResampleJournal:
                     ) == _answer(
                         service.select(query, algorithm=algorithm, strategy=strategy)
                     ), (query, algorithm, strategy)
+
+
+class TestUpdatesLeaveTheStore:
+    def test_real_remove_writes_no_artifact(self, warm):
+        service = SelectionService.from_harness(_config())
+        store = store_mod.ArtifactStore(warm)
+        before = store.entries()
+        name = list(service.metasearcher.sampled_summaries)[2]
+        result = service.apply_update([{"op": "remove", "name": name}])
+        # A real update recomputes R(D) in memory; nothing reaches disk.
+        assert result["em_recomputed"] > 0
+        assert store.entries() == before

@@ -353,10 +353,8 @@ def keys_for(profile, monkeypatch, dataset="trec4", sampler="qbs",
 
 class TestCacheKeyInvalidation:
     def test_keys_cover_every_per_cell_kind(self, monkeypatch):
-        # "lifecycle" artifacts are keyed per (base cell, op journal) by
-        # the updater, not one-per-cell through cache_keys.
         keys = keys_for(MICRO_PROFILE, monkeypatch)
-        assert set(keys) == set(ARTIFACT_KINDS) - {"lifecycle"}
+        assert set(keys) == set(ARTIFACT_KINDS)
         assert len(set(keys.values())) == len(keys)
 
     def test_content_addressed_not_name_addressed(self, monkeypatch):
@@ -446,7 +444,7 @@ class TestHarnessStoreIntegration:
         assert counters.get("sample.databases") == len(cell.summaries)
         assert counters.get("em.runs", 0) > 0
         kinds = {entry.kind for entry in ArtifactStore(tmp_path / "store").entries()}
-        assert kinds == set(ARTIFACT_KINDS) - {"lifecycle"}
+        assert kinds == set(ARTIFACT_KINDS)
 
     def test_warm_run_skips_synthesis_and_is_identical(
         self, micro_scale, micro_store

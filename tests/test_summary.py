@@ -1,7 +1,10 @@
 """Tests for repro.summaries.summary (ContentSummary, SampledSummary)."""
 
+import functools
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.index.document import Document
@@ -11,6 +14,7 @@ from repro.summaries.summary import (
     SampledSummary,
     build_exact_summary,
     build_sampled_summary,
+    sorted_union,
     summarize_documents,
 )
 
@@ -175,3 +179,29 @@ class TestSampledSummary:
         loo = summary.leave_one_out_probabilities("df", discount=1.0)
         for word, value in loo.items():
             assert value <= summary.p(word) + 1e-12
+
+
+def _id_array(ids: set[int], dtype: str) -> np.ndarray:
+    return np.array(sorted(ids), dtype=dtype)
+
+
+class TestSortedUnion:
+    @given(
+        st.lists(
+            st.builds(
+                _id_array,
+                st.sets(st.integers(min_value=0, max_value=200), max_size=30),
+                st.sampled_from(["int32", "int64"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([np.array([], dtype="int64")])
+    @example([np.array([], dtype="int32"), np.array([], dtype="int64")])
+    @example([np.array([3, 7], dtype="int32")])
+    def test_equals_reduced_union1d(self, arrays):
+        expected = functools.reduce(np.union1d, arrays)
+        union = sorted_union(*arrays)
+        assert union.dtype == expected.dtype
+        assert np.array_equal(union, expected)

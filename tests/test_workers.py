@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.evaluation.instrument import get_instrumentation
+from repro.selection import oracle
 from repro.selection.metasearcher import Metasearcher
 from repro.serving import shm
 from repro.serving.client import ServingClient, ServingError
@@ -49,13 +50,16 @@ ADD_OP = {
 }
 
 
-def _make_service() -> SelectionService:
+def _make_service(**config_kwargs) -> SelectionService:
     hierarchy, summaries, classifications = _synthetic_cell(shared_vocab=True)
     metasearcher = Metasearcher(hierarchy, summaries, classifications)
     service = SelectionService(
         metasearcher,
         ServiceConfig(
-            scale="synthetic", request_timeout_seconds=None, default_k=5
+            scale="synthetic",
+            request_timeout_seconds=None,
+            default_k=5,
+            **config_kwargs,
         ),
     )
     service.warmup()
@@ -263,6 +267,45 @@ class TestPoolCacheRetention:
         assert result["response_cache_retained"] > 0
         assert result["worker_cache_retained"] == own
         assert result["response_cache_retained"] == sum(own.values())
+
+
+class TestPlainOnlyPool:
+    def test_updates_run_no_em_in_any_process(self, clean_shm):
+        """A plain-only pool's remove, restore and cancelling batch run
+        no EM in the dispatcher or in a worker replaying the journal."""
+        service = _make_service(strategies=("plain",))
+        with WorkerPool(service, workers=2) as pool:
+            client = ServingClient(pool.url, timeout=60.0)
+            queries = [sorted(set(query)) for query in QUERIES]
+
+            def select(terms, algorithm, strategy, k):
+                return client.select(terms, algorithm=algorithm, strategy=strategy, k=k)
+
+            def em_runs() -> int:
+                assert pool.collect_telemetry()
+                return pool.aggregate_registry().counters.get("em.runs", 0)
+
+            runs_before = em_runs()
+            for ops in (
+                [{"op": "remove", "name": "db03"}],
+                [{"op": "restore", "name": "db03"}],
+                [{"op": "remove", "name": "db05"}, {"op": "restore", "name": "db05"}],
+            ):
+                result = pool.apply_update(ops)
+                assert result["workers_flipped"] == 2
+                assert result["em_recomputed"] == 0
+                # The flipped segment, which every worker adopts, holds
+                # only the plain matrix.
+                arrays = service.snapshot.shm_manifest["arrays"]
+                assert arrays and all(key.startswith("set:plain/") for key in arrays)
+                for algorithm in ("bgloss", "cori", "lm"):
+                    sweep = oracle.sweep(
+                        service.metasearcher, [select], queries, algorithm, "plain", 5
+                    )
+                    assert sweep["wrong"] == 0, sweep
+            assert em_runs() == runs_before
+            assert not service.metasearcher.has_shrunk_summaries()
+            assert set(service.metasearcher.engine_matrices()) == {"set:plain"}
 
 
 class TestWorkerDeath:

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.evaluation.instrument import get_instrumentation
 from repro.selection import oracle
 from repro.selection.metasearcher import Metasearcher
 from repro.serving.admission import AdmissionController, ServiceOverloaded
@@ -611,6 +612,9 @@ def _batch(service: SelectionService, moves) -> list[dict]:
     return ops if present else []
 
 
+ALL_STRATEGIES = ("plain", "shrinkage", "universal")
+
+
 class TestUnchangedProperty:
     @settings(deadline=None, max_examples=15)
     @given(
@@ -623,31 +627,53 @@ class TestUnchangedProperty:
             max_size=4,
         ),
         prune=st.booleans(),
+        strategies=st.sampled_from([ALL_STRATEGIES, ("plain",)]),
     )
-    @example(moves=[("remove", 7), ("restore", 7)], prune=False)
-    @example(moves=[("remove", 3), ("restore", 3)], prune=True)
-    @example(moves=[("noop", 5)], prune=True)
-    @example(moves=[("remove", 2), ("noop", 4), ("restore", 2)], prune=False)
-    @example(moves=[("replace", 1)], prune=False)
-    @example(moves=[("add", 8), ("remove", 8)], prune=True)
-    def test_cache_survives_exactly_an_unchanged_cell(self, moves, prune):
-        service = _make_service(prune=prune)
+    @example(moves=[("remove", 7), ("restore", 7)], prune=False, strategies=ALL_STRATEGIES)
+    @example(moves=[("remove", 3), ("restore", 3)], prune=True, strategies=ALL_STRATEGIES)
+    @example(moves=[("noop", 5)], prune=True, strategies=ALL_STRATEGIES)
+    @example(
+        moves=[("remove", 2), ("noop", 4), ("restore", 2)],
+        prune=False,
+        strategies=ALL_STRATEGIES,
+    )
+    @example(moves=[("replace", 1)], prune=False, strategies=ALL_STRATEGIES)
+    @example(moves=[("add", 8), ("remove", 8)], prune=True, strategies=ALL_STRATEGIES)
+    @example(moves=[("remove", 7), ("restore", 7)], prune=True, strategies=("plain",))
+    @example(moves=[("remove", 2)], prune=False, strategies=("plain",))
+    @example(moves=[("replace", 1)], prune=True, strategies=("plain",))
+    def test_cache_survives_exactly_an_unchanged_cell(self, moves, prune, strategies):
+        service = _make_service(prune=prune, strategies=strategies)
         ops = _batch(service, moves)
         if not ops:
             return
         combos = [
             (algorithm, strategy)
             for algorithm in ("bgloss", "cori", "lm")
-            for strategy in ("plain", "shrinkage", "universal")
+            for strategy in strategies
         ]
         for algorithm, strategy in combos:
             for query in _PROBES:
                 service.select(query, algorithm=algorithm, strategy=strategy)
         before = service.metasearcher
         cached = len(service.snapshot.cache)
+        counters = get_instrumentation().counters
 
+        def em_count() -> int:
+            return counters.get("em.runs", 0) + counters.get("em.cache_hit", 0)
+
+        em_before = em_count()
         result = service.apply_update(ops)
+        # One EM (or digest-cache answer) per regime for each R(D) the
+        # update recomputed, and nothing else: a plain-only cell never
+        # holds R(D), so its updates run none.
+        assert em_count() - em_before == 2 * result["em_recomputed"]
         after = service.metasearcher
+        serves_shrunk = strategies != ("plain",)
+        assert after.has_shrunk_summaries() is serves_shrunk
+        if not serves_shrunk:
+            assert (result["em_recomputed"], result["shrunk_reused"]) == (0, 0)
+            assert set(after.engine_matrices()) == {"set:plain"}
         # A batch that nets out (remove+restore pairs, no-op replaces, an
         # added database removed again) gives back every database's
         # summary object in the old order: the cell must be unchanged.
@@ -661,7 +687,11 @@ class TestUnchangedProperty:
             list(after.sampled_summaries) == list(before.sampled_summaries)
             and all(
                 after.sampled_summaries[name] is summary
-                and after.shrunk_summaries[name] is before.shrunk_summaries[name]
+                and (
+                    not serves_shrunk
+                    or after.shrunk_summaries[name]
+                    is before.shrunk_summaries[name]
+                )
                 for name, summary in before.sampled_summaries.items()
             )
             and all(
