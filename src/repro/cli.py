@@ -1030,7 +1030,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         trajectory_mod.append_and_compare(args.trajectory, record)
     # Keep the histograms visible when tracing is active.
     report = get_instrumentation().report()
-    if "serve.request_seconds" in report:
+    if "serve.handler_seconds" in report:
         print()
         print(report)
     failed = (

@@ -15,38 +15,8 @@
 * :mod:`repro.evaluation.instrument` — named timers and counters
   surfaced by ``repro bench``.
 * :mod:`repro.evaluation.reporting` — paper-style table formatting.
+
+The package re-exports nothing: importing any one module (the serving
+stack imports :mod:`~repro.evaluation.instrument`) loads only what that
+module needs, and scipy loads only inside the functions that call it.
 """
-
-from repro.evaluation.instrument import Instrumentation, get_instrumentation
-from repro.evaluation.selection_quality import mean_rk_curve, rk_curve
-from repro.evaluation.stats import PairedTestResult, paired_t_test
-from repro.evaluation.store import ArtifactStore, fingerprint
-from repro.evaluation.summary_quality import (
-    SummaryQuality,
-    evaluate_summary,
-    kl_divergence,
-    spearman_rank_correlation,
-    unweighted_precision,
-    unweighted_recall,
-    weighted_precision,
-    weighted_recall,
-)
-
-__all__ = [
-    "ArtifactStore",
-    "Instrumentation",
-    "fingerprint",
-    "get_instrumentation",
-    "PairedTestResult",
-    "SummaryQuality",
-    "evaluate_summary",
-    "kl_divergence",
-    "mean_rk_curve",
-    "paired_t_test",
-    "rk_curve",
-    "spearman_rank_correlation",
-    "unweighted_precision",
-    "unweighted_recall",
-    "weighted_precision",
-    "weighted_recall",
-]

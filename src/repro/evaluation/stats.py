@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ def paired_t_test(
             mean_difference=mean_difference,
             num_pairs=int(a.size),
         )
+    from scipy import stats
+
     with warnings.catch_warnings():
         # Near-identical samples trigger precision warnings; the NaN they
         # may produce is mapped to p = 1 below.

@@ -499,9 +499,21 @@ class ArtifactStore:
     # -- inspection / maintenance ----------------------------------------------
 
     def entries(self) -> list[StoreEntry]:
-        """Every artifact currently on disk, sorted by kind then key."""
+        """Every artifact currently on disk: :data:`ARTIFACT_KINDS` in
+        order, then any other subdirectory by name, each sorted by key.
+
+        Walking every subdirectory lists (and :meth:`clear` removes) an
+        artifact of a kind this version no longer writes, too.
+        """
         found: list[StoreEntry] = []
-        for kind in ARTIFACT_KINDS:
+        if not self.root.is_dir():
+            return found
+        retired = sorted(
+            path.name
+            for path in self.root.iterdir()
+            if path.is_dir() and path.name not in ARTIFACT_KINDS
+        )
+        for kind in (*ARTIFACT_KINDS, *retired):
             directory = self.root / kind
             if not directory.is_dir():
                 continue

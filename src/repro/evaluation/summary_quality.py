@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro.summaries.summary import ContentSummary
 
 
@@ -89,6 +87,8 @@ def spearman_rank_correlation(
         return 0.0
     approx_values = [approx.p(word) if word in words_a else 0.0 for word in union]
     exact_values = [exact.p(word) if word in words_s else 0.0 for word in union]
+    from scipy import stats
+
     with warnings.catch_warnings():
         # Constant rankings are legitimate degenerate inputs here; the NaN
         # they produce is mapped to 0 below.

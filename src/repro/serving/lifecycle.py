@@ -32,10 +32,13 @@ component of every mixture. Shrunk-summary reuse therefore fires only
 when a database's whole ancestor chain survived bitwise (cancelling or
 idempotent op sequences); the second line of defence is an exact
 EM-input digest cache (:func:`repro.core.shrinkage.em_input_digest`),
-which skips EM re-runs whenever the column matrix recurs. An update's
-R(D) live in memory only. A cell that holds no R(D) (a universe cell
-served plain-only) gets none from an update either: it computes them
-from its own builder if something asks, exactly as a rebuild would.
+which skips EM re-runs whenever the column matrix recurs. An update
+that leaves the cell bitwise as it was reports ``unchanged``, and the
+service republishes the live snapshot instead of this new cell. An
+update's R(D) live in memory only. A cell that holds no R(D) (a
+universe cell served plain-only) gets none from an update either: it
+computes them from its own builder if something asks, exactly as a
+rebuild would.
 """
 
 from __future__ import annotations
@@ -66,13 +69,13 @@ _OP_KINDS = ("add", "remove", "replace", "resample", "restore")
 
 
 def canonical_op(op: Mapping) -> dict:
-    """Validate one raw update operation into its canonical journal form.
+    """Validate one raw update operation into its canonical form.
 
-    The canonical form is plain JSON data and *fully determines* the
-    operation's effect given the journal prefix before it — which is what
-    lets a pool worker replay the dispatcher's journal to the same cell.
-    Raises ``ValueError`` on anything malformed (the HTTP layer maps that
-    to a 400).
+    The canonical form is plain JSON data and, once :func:`resolve_ops`
+    has drawn any ``resample``, *fully determines* the operation's effect
+    on the cell it applies to — which is what lets every pool worker
+    apply the dispatcher's batch to the same cell. Raises ``ValueError``
+    on anything malformed (the HTTP layer maps that to a 400).
     """
     if not isinstance(op, Mapping):
         raise ValueError("each operation must be a JSON object")
@@ -113,6 +116,40 @@ def summary_payload(summary: ContentSummary) -> dict:
     return summary_to_dict(summary)
 
 
+def resolve_ops(
+    ops: Sequence[Mapping],
+    harness_context: tuple[str, str, bool, str] | None,
+) -> list[dict]:
+    """The batch an update applies: canonical ops, each ``resample`` drawn.
+
+    A ``resample`` is drawn here, once, as the ``replace`` it amounts to,
+    carrying the drawn summary's payload; only the process that resolves
+    the batch reads documents. ``harness_context`` is (dataset, sampler,
+    frequency_estimation, scale) of a harness-built cell and is required
+    for ``resample`` only. Idempotent: a resolved batch resolves to
+    itself. Raises ``ValueError`` on a malformed or empty batch.
+    """
+    resolved = []
+    for op in ops:
+        op = canonical_op(op)
+        if op["op"] == "resample":
+            if harness_context is None:
+                raise ValueError(
+                    "resample requires a harness-backed service "
+                    "(this cell was not built through the harness)"
+                )
+            fresh = resample_database(*harness_context, op["name"], op["seed"])
+            op = {
+                "op": "replace",
+                "name": op["name"],
+                "summary": summary_payload(fresh),
+            }
+        resolved.append(op)
+    if not resolved:
+        raise ValueError("update requires at least one operation")
+    return resolved
+
+
 def resample_database(
     dataset: str,
     sampler: str,
@@ -130,7 +167,7 @@ def resample_database(
     keeps its current classification: resampling refreshes the content
     summary, it does not move the database in the hierarchy. This is the
     one serving path that reads documents: it loads the testbed on first
-    use, and :class:`CellUpdater` journals its result as a ``replace``.
+    use, and :func:`resolve_ops` ships its result as a ``replace``.
     """
     from repro.evaluation import harness
     from repro.summaries.focused import FPSConfig, FPSSampler
@@ -188,27 +225,16 @@ class CellSnapshot:
     (pre-update) response for a post-update query.
     """
 
+    #: The snapshot's epoch: every process starts at 1 and each update
+    #: moves it from E to E + 1, so the dispatcher and its workers agree.
     version: int
     metasearcher: Metasearcher
     cache: LruCache
     databases: tuple[str, ...]
-    created_at: float
-    build_seconds: float
     #: Shared-memory manifest for this snapshot's score-matrix segment
     #: (multi-worker serving, see :mod:`repro.serving.shm`); ``None``
     #: when the snapshot's matrices live in ordinary process memory.
     shm_manifest: Mapping | None = None
-
-    @property
-    def epoch(self) -> int:
-        """The snapshot's epoch — its position in the swap sequence.
-
-        Workers and the dispatcher agree on epochs by construction: the
-        dispatcher stamps each flip message with the version the update
-        produced, and workers publish their caught-up snapshot under
-        exactly that number (see ``serving/workers.py``).
-        """
-        return self.version
 
 
 class CellUpdater:
@@ -242,8 +268,6 @@ class CellUpdater:
         #: (dataset, sampler, frequency_estimation, scale) when the cell
         #: came from the harness; required for ``resample`` ops.
         self.harness_context = harness_context
-        #: Canonical ops applied so far, in order.
-        self.journal: list[dict] = []
         #: Exact EM-input digest → lambdas (see shrinkage.em_input_digest).
         self.em_cache = LruCache(EM_CACHE_SIZE)
         #: Summaries (and paths) of removed databases, for ``restore``.
@@ -253,28 +277,6 @@ class CellUpdater:
         ] = {}
 
     # -- op application --------------------------------------------------------
-
-    def _resolve(self, op: dict) -> dict:
-        """The journal form of one canonical op.
-
-        A ``resample`` is drawn here, once, and journaled as the
-        ``replace`` it amounts to, carrying the drawn summary's payload.
-        Only this process reads the documents: pool workers replaying a
-        flip suffix see a plain ``replace``.
-        """
-        if op["op"] != "resample":
-            return op
-        if self.harness_context is None:
-            raise ValueError(
-                "resample requires a harness-backed service "
-                "(this cell was not built through the harness)"
-            )
-        fresh = resample_database(*self.harness_context, op["name"], op["seed"])
-        return {
-            "op": "replace",
-            "name": op["name"],
-            "summary": summary_payload(fresh),
-        }
 
     @staticmethod
     def _materialize(op: dict, working: CategorySummaryBuilder):
@@ -292,9 +294,7 @@ class CellUpdater:
         """
         from repro.evaluation.instrument import count, span
 
-        ops = [self._resolve(canonical_op(op)) for op in ops]
-        if not ops:
-            raise ValueError("update requires at least one operation")
+        ops = resolve_ops(ops, self.harness_context)
 
         working = self._builder.copy_for_update()
         previous_summaries = self._builder.database_summaries()
@@ -390,7 +390,6 @@ class CellUpdater:
         for name in list(self._removed):
             if name in classifications:
                 del self._removed[name]
-        self.journal = self.journal + ops
 
         count("lifecycle.ops", len(ops))
         count("lifecycle.shrunk_reused", reused)
@@ -411,13 +410,12 @@ class CellUpdater:
             "changed_paths": len(changed),
             "shrunk_reused": reused,
             "em_recomputed": em_ran,
-            "journal_length": len(self.journal),
             "touched_databases": touched,
             # The cell computes bitwise what it did before: the same
             # summary objects in the same order (collection statistics
             # fold in dict order), no aggregate moved, and every carried
-            # R(D) is the previous object. The response cache survives
-            # only this.
+            # R(D) is the previous object. The service then republishes
+            # the live snapshot, response cache included.
             "unchanged": list(previous_summaries) == list(summaries)
             and not touched
             and not changed

@@ -28,16 +28,17 @@ Design constraints (DESIGN.md §5c–§5d):
   builds and warms a *new* snapshot off to the side, then publishes it
   with a single reference swap. In-flight requests finish on the
   snapshot they started with; no request ever observes a half-updated
-  cell. Updates are serialized by their own lock, which ``/select``
-  never takes.
+  cell. An update that changes nothing republishes the live snapshot
+  under the next epoch. Updates are serialized by their own lock,
+  which ``/select`` never takes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 import time
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from repro.core.lru import MISSING, LruCache
@@ -58,7 +59,7 @@ _ALGORITHMS = ("bgloss", "cori", "lm")
 _STRATEGIES = ("plain", "shrinkage", "universal")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ServiceConfig:
     """What to preload and how to bound the request path."""
 
@@ -226,10 +227,10 @@ class SelectionService:
             metasearcher=metasearcher,
             cache=LruCache(self.config.response_cache_size),
             databases=tuple(metasearcher.sampled_summaries),
-            created_at=time.time(),
-            build_seconds=0.0,
         )
-        self._harness_context = harness_context
+        #: (dataset, sampler, frequency_estimation, scale) of a
+        #: harness-built cell; what a ``resample`` op draws from.
+        self.harness_context = harness_context
         if self.config.slow_query_log_path:
             self.slow_query_log: SlowQueryLog | None = SlowQueryLog(
                 self.config.slow_query_log_path,
@@ -405,8 +406,6 @@ class SelectionService:
         arrival: float | None,
         telemetry: RequestTelemetry,
     ) -> dict:
-        from repro.evaluation.instrument import get_instrumentation
-
         with telemetry.phase("parse"):
             if arrival is None:
                 arrival = time.monotonic()
@@ -478,11 +477,6 @@ class SelectionService:
             pruned=bool(self.config.prune),
             candidates_scored=outcome.candidates_scored,
         )
-        instrumentation = get_instrumentation()
-        instrumentation.count("serve.requests")
-        instrumentation.observe("serve.request_seconds", elapsed)
-        if degraded:
-            instrumentation.count("serve.degraded")
         # Full copy, not dict(): the miss response must not share its
         # nested lists with the entry just cached either.
         response = _copy_response(response)
@@ -554,13 +548,6 @@ class SelectionService:
 
     # -- lifecycle -------------------------------------------------------------
 
-    @property
-    def journal(self) -> list[dict]:
-        """Canonical lifecycle ops applied so far (empty before updates)."""
-        if self._updater is None:
-            return []
-        return list(self._updater.journal)
-
     def install_shm_manifest(self, manifest: Mapping) -> None:
         """Stamp the *current* snapshot with a shared-memory manifest.
 
@@ -569,8 +556,6 @@ class SelectionService:
         shared views, so the published reference should say so. The
         republication is one atomic store, same as a hot swap.
         """
-        import dataclasses
-
         self._snapshot = dataclasses.replace(
             self._snapshot, shm_manifest=dict(manifest)
         )
@@ -580,67 +565,67 @@ class SelectionService:
         ops: Sequence[Mapping],
         verify: bool = False,
         materialize=None,
-        version: int | None = None,
     ) -> dict:
         """Apply lifecycle operations and hot-swap in the updated cell.
 
         Builds and warms the new snapshot entirely off the request path,
-        then publishes it with one atomic reference assignment; requests
-        in flight keep their old snapshot, later requests see the new
-        one. With ``verify=True`` the updated cell is additionally
-        compared — bit for bit — against a from-scratch rebuild before
-        publication, and the report is returned under ``"verification"``.
-        Updates are serialized; concurrent calls queue on the updater
-        lock. Raises ``ValueError`` on malformed or inapplicable ops
-        (state is untouched in that case).
+        then publishes it, under the next epoch, with one atomic
+        reference assignment; requests in flight keep their old
+        snapshot, later requests see the new one. An update that leaves
+        the cell ``unchanged`` republishes the live snapshot instead —
+        the same metasearcher, response cache and shm manifest — and
+        builds, warms and packs nothing. With ``verify=True`` the cell
+        the updater returned is compared, bit for bit, against a
+        from-scratch rebuild before publication, and the report is
+        returned under ``"verification"``. Updates are serialized;
+        concurrent calls queue on the updater lock. Raises ``ValueError``
+        on malformed or inapplicable ops (state is untouched then).
 
         ``materialize`` hooks multi-process serving in: called with
-        ``(metasearcher, version)`` after the ops applied but before the
-        service warms the new cell, it may install externally shared
-        score-matrix buffers (see :mod:`repro.serving.shm`) and return a
-        manifest to stamp on the published snapshot. ``version`` pins
-        the new snapshot's number — a catch-up worker replaying a
-        several-update journal suffix in one call lands on the
-        dispatcher's epoch, not on ``previous + 1``.
+        ``(metasearcher, version)`` for a changed cell, after the ops
+        applied but before the service warms it, it may install
+        externally shared score-matrix buffers (see
+        :mod:`repro.serving.shm`) and return a manifest to stamp on the
+        published snapshot.
         """
         from repro.evaluation.instrument import get_instrumentation, span
 
         with self._update_lock:
             previous = self._snapshot
-            next_version = previous.version + 1 if version is None else version
+            version = previous.version + 1
             if self._updater is None:
                 self._updater = CellUpdater(
                     previous.metasearcher,
-                    harness_context=self._harness_context,
+                    harness_context=self.harness_context,
                 )
             start = time.perf_counter()
             metasearcher, info = self._updater.apply(ops)
-            manifest = None
-            if materialize is not None:
-                manifest = materialize(metasearcher, next_version)
-            with span("lifecycle.warm", version=next_version):
-                self._warm(metasearcher, self.config)
-            build_seconds = time.perf_counter() - start
             result = dict(info)
+            if info["unchanged"]:
+                snapshot = dataclasses.replace(previous, version=version)
+            else:
+                manifest = None
+                if materialize is not None:
+                    manifest = materialize(metasearcher, version)
+                with span("lifecycle.warm", version=version):
+                    self._warm(metasearcher, self.config)
+                snapshot = CellSnapshot(
+                    version=version,
+                    metasearcher=metasearcher,
+                    cache=LruCache(self.config.response_cache_size),
+                    databases=tuple(metasearcher.sampled_summaries),
+                    shm_manifest=dict(manifest) if manifest is not None else None,
+                )
+            build_seconds = time.perf_counter() - start
             if verify:
+                # The updater's own cell: verification builds every engine
+                # and R(D) on its argument, which must never be a snapshot
+                # that requests are already reading.
                 with span("lifecycle.verify"):
                     result["verification"] = verify_against_rebuild(
                         metasearcher
                     )
             swap_start = time.perf_counter()
-            cache = LruCache(self.config.response_cache_size)
-            result["response_cache_retained"] = self._carry_cache(
-                previous, info, cache
-            )
-            snapshot = CellSnapshot(
-                version=next_version,
-                metasearcher=metasearcher,
-                cache=cache,
-                databases=tuple(metasearcher.sampled_summaries),
-                created_at=time.time(),
-                build_seconds=build_seconds,
-                shm_manifest=dict(manifest) if manifest is not None else None,
-            )
             self._snapshot = snapshot  # the hot swap: one atomic store
             swap_seconds = time.perf_counter() - swap_start
             self.stats.record_swap(build_seconds)
@@ -651,6 +636,9 @@ class SelectionService:
             instrumentation.set_gauge("serve.epoch", snapshot.version)
             result.update(
                 {
+                    "response_cache_retained": (
+                        len(previous.cache) if info["unchanged"] else 0
+                    ),
                     "snapshot_version": snapshot.version,
                     "build_seconds": build_seconds,
                     "swap_seconds": swap_seconds,
@@ -658,26 +646,6 @@ class SelectionService:
                 }
             )
             return result
-
-    def _carry_cache(
-        self, previous: CellSnapshot, info: Mapping, cache: LruCache
-    ) -> int:
-        """Carry the response cache across the hot swap: every entry when
-        the update left the cell ``unchanged``, none otherwise.
-
-        An unchanged cell holds the previous sampled summary objects in
-        the previous order, the previous category aggregates and every
-        previous R(D), so the new snapshot computes bitwise the answers
-        the old one cached (DESIGN.md §5j). Returns the number of entries
-        carried.
-        """
-        if not info["unchanged"]:
-            return 0
-        # items() is oldest-to-most-recent, so re-putting in order
-        # preserves the entries' relative recency in the new cache.
-        for key, response in previous.cache.items():
-            cache.put(key, response)
-        return len(cache)
 
     # -- introspection ---------------------------------------------------------
 

@@ -15,7 +15,9 @@ error class). This module is the vocabulary those layers share:
   :func:`split_labeled`), so one registry holds
   ``serve.http.requests{endpoint=select,status=ok}`` per endpoint
   without new metric types. Label sets stay low-cardinality by
-  construction: endpoint, phase, strategy, status, scan mode, epoch.
+  construction: endpoint, phase, strategy, status, scan mode. The
+  epoch is an outcome tag (slow-query log, trace spans) and the
+  ``serve.epoch`` gauge, never a label, so no series grows with swaps.
 * :func:`render_prometheus` — text exposition of a registry (counters,
   gauges, timers, histograms with exact-percentile quantiles) in the
   Prometheus format, deterministic ordering, no locks held beyond the
@@ -158,11 +160,11 @@ def record_request(
         inst.observe(
             labeled("serve.phase_seconds", endpoint=endpoint, phase=phase), seconds
         )
+    # One series per (endpoint, strategy): the ``serve.epoch`` gauge names
+    # the epoch, so a swap never starts a new series.
     handler_labels = {"endpoint": endpoint}
     if "strategy" in tags:
         handler_labels["strategy"] = tags["strategy"]
-    if "epoch" in tags:
-        handler_labels["epoch"] = tags["epoch"]
     inst.observe(labeled("serve.handler_seconds", **handler_labels), elapsed)
     if tags.get("cache_hit"):
         inst.count(labeled("serve.cache_hits", endpoint=endpoint))

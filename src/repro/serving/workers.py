@@ -17,39 +17,43 @@ Epoch-flip protocol (snapshot hot swaps with workers attached):
 1. Any worker receiving ``POST /admin/update`` *forwards* it verbatim to
    the dispatcher's private admin endpoint — workers never mutate state
    on their own.
-2. The dispatcher applies the ops through its own
+2. The dispatcher resolves the batch once (a ``resample`` is drawn
+   here, as the ``replace`` it amounts to), applies it through its own
    :meth:`~repro.serving.service.SelectionService.apply_update`
    (serialized, optionally bit-verified against a rebuild), warms the
    new cell, packs a **new** segment, and rebinds its own matrices onto
-   the shared views.
-3. It broadcasts ``{"cmd": "flip", "epoch": E, "ops": <journal suffix>,
-   "manifest": <new manifest>}`` to every worker over its control
-   socketpair. The ops are the canonical-journal *suffix* since that
-   worker's last acknowledged state — a worker that missed a flip (it
-   was being respawned) catches up by replaying a longer suffix; the
-   lifecycle bit-identity contract makes the replayed state equal the
-   dispatcher's bit for bit, and the attach digest check proves the
-   matrices are too.
-4. Each worker replays the suffix, adopts the new segment's views
-   (zero-copy, digest-verified), publishes its new snapshot under
-   exactly epoch ``E``, and acks with the count of response-cache
-   entries it carried across. The dispatcher sends every flip before it
-   reads any ack, so the workers catch up concurrently, and it waits
-   for all acks against one shared deadline.
+   the shared views. A batch that leaves the cell ``unchanged`` packs
+   nothing: the dispatcher republishes its live snapshot, segment
+   included.
+3. It broadcasts ``{"cmd": "flip", "ops": <the batch>, "manifest":
+   <the new manifest, or the live one>}`` to every worker over its
+   control socketpair.
+   Every live worker is at the dispatcher's previous epoch E - 1: a
+   worker that fails a flip is killed, and every worker is forked from
+   current state, under the flip lock.
+4. Each worker applies the same batch — the lifecycle bit-identity
+   contract makes its cell equal the dispatcher's bit for bit — adopts
+   the new segment's views (zero-copy, digest-verified; an unchanged
+   cell keeps the live ones), publishes its snapshot under epoch E, and
+   acks with that epoch and the count of response-cache entries it
+   kept. The dispatcher sends every flip before it reads any ack, so
+   the workers apply concurrently, and it waits for all acks against
+   one shared deadline.
 5. Only after every live worker has acked — the drain barrier — does the
    dispatcher unlink the old segment and answer the update request. A
    client that has seen the update response can therefore never observe
    a pre-update ``/select`` answer: every worker is already serving
-   epoch ``E``. In-flight requests on the old snapshot finish from the
+   epoch E. In-flight requests on the old snapshot finish from the
    old mapping, which the kernel keeps alive (unlinked but mapped) until
    the last view drops.
 
 Worker death (crash or SIGTERM) is detected by a reaper thread; the
 dead worker is reaped and a fresh one forked from the dispatcher's
-*current* state — it inherits the live segment mapping, so no journal
-replay is needed. Workers own no segment names, so no path through
-worker death can orphan ``/dev/shm`` entries; the dispatcher unlinks
-everything it created on shutdown (and at exit, as a last resort).
+*current* state — it inherits the live segment mapping and epoch, so it
+has nothing to catch up. Workers own no segment names, so no path
+through worker death can orphan ``/dev/shm`` entries; the dispatcher
+unlinks everything it created on shutdown (and at exit, as a last
+resort).
 
 Telemetry aggregation (DESIGN.md §5h): each worker periodically ships
 its instrumentation delta (``snapshot_delta`` over the post-fork
@@ -82,6 +86,7 @@ from repro.evaluation.instrument import (
     snapshot_delta,
 )
 from repro.serving import shm
+from repro.serving.lifecycle import resolve_ops
 from repro.serving.server import (
     MAX_ADMIN_BODY_BYTES,
     SelectionRequestHandler,
@@ -264,7 +269,6 @@ class _WorkerRuntime:
         self.control = control
         self.reader = _LineReader(control)
         self.segment: shm.SnapshotSegment | None = None
-        self.journal_length = len(service.journal)
         self.telemetry_interval = float(telemetry_interval)
         #: Serializes all control-socket writes (acks vs. telemetry pushes).
         self._send_lock = threading.Lock()
@@ -301,7 +305,6 @@ class _WorkerRuntime:
                 "seq": self._telemetry_seq,
                 "poll": poll,
                 "epoch": self.service.snapshot.version,
-                "journal_length": self.journal_length,
                 "instrumentation": delta,
                 "service": self.service.stats_snapshot(),
             }
@@ -315,12 +318,13 @@ class _WorkerRuntime:
             except OSError:  # dispatcher went away; control_loop exits too
                 return
 
-    def flip(self, epoch: int, ops: list, manifest: dict) -> dict:
-        """Catch up to the dispatcher's epoch: replay ops, adopt segment.
+    def flip(self, ops: list, manifest: dict) -> dict:
+        """Apply the dispatcher's batch and adopt its segment.
 
-        The ack carries how many of this worker's response-cache entries
-        the swap kept (``response_cache_retained``): the workers answer
-        every select, so their caches are the pool's.
+        The ack carries this worker's new epoch and how many of its
+        response-cache entries the swap kept (``response_cache_retained``):
+        the workers answer every select, so their caches are the pool's.
+        An unchanged cell keeps its snapshot, so its live mapping too.
         """
         adopted: dict = {}
 
@@ -328,27 +332,15 @@ class _WorkerRuntime:
             adopted["segment"] = shm.adopt_snapshot(metasearcher, manifest)
             return manifest
 
-        if ops:
-            result = self.service.apply_update(
-                ops, verify=False, materialize=materialize, version=epoch
-            )
-            retained = int(result["response_cache_retained"])
-            previous = self.segment
-            self.segment = adopted.get("segment")
+        result = self.service.apply_update(ops, materialize=materialize)
+        if "segment" in adopted:
+            previous, self.segment = self.segment, adopted["segment"]
             if previous is not None:
                 previous.close()
-        else:
-            # An empty suffix means this worker is already at the target
-            # epoch (it was respawned from post-update state): ack as-is,
-            # its cache untouched.
-            retained = len(self.service.snapshot.cache)
-        self.journal_length = len(self.service.journal)
         return {
-            "ack": epoch,
+            "ack": result["snapshot_version"],
             "pid": os.getpid(),
-            "epoch": self.service.snapshot.version,
-            "journal_length": self.journal_length,
-            "response_cache_retained": retained,
+            "response_cache_retained": result["response_cache_retained"],
         }
 
     def control_loop(self) -> None:
@@ -371,17 +363,13 @@ class _WorkerRuntime:
             elif cmd == "flip":
                 try:
                     ack = self.flip(
-                        int(message["epoch"]),
-                        list(message.get("ops") or ()),
-                        dict(message["manifest"]),
+                        list(message["ops"]), dict(message["manifest"])
                     )
                 except Exception as error:  # keep serving the old epoch
                     ack = {
                         "ack": None,
                         "pid": os.getpid(),
                         "error": f"{type(error).__name__}: {error}",
-                        "epoch": self.service.snapshot.version,
-                        "journal_length": self.journal_length,
                     }
                 try:
                     self._send(ack)
@@ -393,13 +381,7 @@ class _WorkerRuntime:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         threading.Thread(target=self.control_loop, daemon=True).start()
         threading.Thread(target=self._telemetry_loop, daemon=True).start()
-        self._send(
-            {
-                "ready": os.getpid(),
-                "epoch": self.service.snapshot.version,
-                "journal_length": self.journal_length,
-            },
-        )
+        self._send({"ready": os.getpid()})
         self.server.serve_forever(poll_interval=0.1)
         os._exit(0)
 
@@ -459,8 +441,6 @@ class _WorkerHandle:
         self.pid = pid
         self.control = control
         self.reader = _LineReader(control)
-        self.journal_length = 0
-        self.epoch = 0
         self.inbox: queue.Queue = queue.Queue()
         #: Last telemetry payload shipped by this worker (absolute
         #: service counters; the instrumentation delta is merged away).
@@ -658,8 +638,6 @@ class WorkerPool:
         handle = _WorkerHandle(
             pid, parent_side, absorb_telemetry=self._absorb_telemetry
         )
-        handle.journal_length = len(self.service.journal)
-        handle.epoch = self.service.snapshot.version
         self._workers[pid] = handle
         return pid
 
@@ -669,10 +647,6 @@ class WorkerPool:
             raise RuntimeError(
                 f"worker {handle.pid} failed its ready handshake: {message!r}"
             )
-        handle.epoch = int(message.get("epoch", handle.epoch))
-        handle.journal_length = int(
-            message.get("journal_length", handle.journal_length)
-        )
 
     # -- telemetry aggregation -------------------------------------------------
 
@@ -687,7 +661,6 @@ class WorkerPool:
             if delta:
                 self._pool_instrumentation.merge(delta)
             handle.telemetry = payload
-            handle.epoch = int(payload.get("epoch", handle.epoch))
             token = payload.get("poll")
             if token is not None:
                 handle.last_poll = int(token)
@@ -796,18 +769,21 @@ class WorkerPool:
     def apply_update(self, ops, verify: bool = False) -> dict:
         """Apply an update once, then flip every worker to the new epoch.
 
-        Returns the dispatcher's update result annotated with the flip
-        outcome. ``response_cache_retained`` is the sum of the entries
-        each worker's cache kept across the swap, and
-        ``worker_cache_retained`` maps each worker's pid to its own
+        The batch is resolved once (a malformed one raises ``ValueError``
+        before any state changes), applied by the dispatcher, and shipped
+        as is to every worker. Returns the dispatcher's update result
+        annotated with the flip outcome. ``response_cache_retained`` is
+        the sum of the entries each worker's cache kept across the swap,
+        and ``worker_cache_retained`` maps each worker's pid to its own
         count: the workers answer every select, so the dispatcher's own
         cache stays empty. Only returns after the drain barrier: every
-        live worker has acknowledged the new epoch, and the previous
-        segment has been unlinked.
+        live worker has acknowledged the new epoch, and a segment the
+        update replaced has been unlinked.
         """
         from repro.evaluation.instrument import count, span
 
         with self._flip_lock:
+            batch = resolve_ops(ops, self.service.harness_context)
             packed: dict = {}
 
             def materialize(metasearcher, version):
@@ -821,21 +797,22 @@ class WorkerPool:
                 return packed["manifest"]
 
             result = self.service.apply_update(
-                ops, verify=verify, materialize=materialize
+                batch, verify=verify, materialize=materialize
             )
-            manifest = packed["manifest"]
+            # An unchanged cell packed nothing: flip with the live manifest.
+            manifest = packed.get("manifest", self._manifest)
             epoch = int(result["snapshot_version"])
-            journal = self.service.journal
 
             with span("workers.flip", epoch=epoch):
-                retained = self._broadcast_flip(epoch, journal, manifest)
+                retained = self._broadcast_flip(epoch, batch, manifest)
 
-            previous_segment = self._segment
-            self._segment = packed["segment"]
-            self._manifest = manifest
-            if previous_segment is not None:
-                previous_segment.close()
-                previous_segment.unlink()
+            if packed:
+                previous_segment = self._segment
+                self._segment = packed["segment"]
+                self._manifest = manifest
+                if previous_segment is not None:
+                    previous_segment.close()
+                    previous_segment.unlink()
             count("workers.flips")
             result["epoch"] = epoch
             result["segment"] = manifest["segment"]
@@ -848,28 +825,23 @@ class WorkerPool:
             return result
 
     def _broadcast_flip(
-        self, epoch: int, journal: list, manifest: dict
+        self, epoch: int, batch: list, manifest: dict
     ) -> dict[int, int]:
         """Flip every worker to ``epoch``; the flipped workers' retained
         response-cache counts, by pid.
 
         Every worker gets its flip before any ack is read, so the workers
-        catch up concurrently. The acks are collected against one shared
-        :data:`FLIP_ACK_TIMEOUT` deadline, and the workers that failed
-        are replaced last.
+        apply the batch concurrently. The acks are collected against one
+        shared :data:`FLIP_ACK_TIMEOUT` deadline; a worker whose ack is
+        missing, an error, or another epoch has failed, and the workers
+        that failed are replaced last.
         """
+        message = {"cmd": "flip", "ops": batch, "manifest": manifest}
         waiting: dict[int, _WorkerHandle] = {}
         failed: list[int] = []
         for pid, handle in list(self._workers.items()):
             try:
-                handle.send(
-                    {
-                        "cmd": "flip",
-                        "epoch": epoch,
-                        "ops": journal[handle.journal_length:],
-                        "manifest": manifest,
-                    },
-                )
+                handle.send(message)
                 waiting[pid] = handle
             except OSError:
                 failed.append(pid)
@@ -878,10 +850,6 @@ class WorkerPool:
         for pid, handle in waiting.items():
             ack = handle.recv(timeout=max(deadline - time.monotonic(), 0.0))
             if ack and ack.get("ack") == epoch:
-                handle.epoch = epoch
-                handle.journal_length = int(
-                    ack.get("journal_length", len(journal))
-                )
                 retained[pid] = int(ack.get("response_cache_retained", 0))
             else:
                 failed.append(pid)

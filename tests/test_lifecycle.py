@@ -237,11 +237,13 @@ class TestBitIdentity:
 
     def test_failed_op_leaves_updater_untouched(self):
         updater = CellUpdater(_metasearcher())
+        builder = updater._builder
         with pytest.raises(ValueError):
             updater.apply([{"op": "remove", "name": "no-such-db"}])
         with pytest.raises(ValueError):
             updater.apply([{"op": "restore", "name": "db00"}])
-        assert updater.journal == []
+        assert updater._builder is builder
+        assert updater._removed == {}
         metasearcher, info = updater.apply([{"op": "remove", "name": "db00"}])
         assert info["databases"] == 7
         _assert_verified(metasearcher)
@@ -549,6 +551,7 @@ class TestServiceLifecycle:
         def em_count() -> int:
             return counters.get("em.runs", 0) + counters.get("em.cache_hit", 0)
 
+        published = []
         for ops in (
             [{"op": "remove", "name": "db03"}],
             [{"op": "restore", "name": "db03"}],
@@ -561,8 +564,13 @@ class TestServiceLifecycle:
             metasearcher = service.metasearcher
             assert not metasearcher.has_shrunk_summaries()
             assert set(metasearcher.engine_matrices()) == {"set:plain"}
-            _assert_verified(metasearcher)
+            published.append(metasearcher)
+        # The cancelling batch republished the restored cell as it was.
         assert result["unchanged"]
+        assert published[2] is published[1]
+        # Verification builds R(D) on its argument, so it runs last.
+        for metasearcher in published:
+            _assert_verified(metasearcher)
 
     def test_malformed_update_leaves_snapshot(self):
         service = _make_service()
@@ -674,6 +682,81 @@ class TestServiceLifecycle:
         latencies.sort()
         p99 = latencies[int(len(latencies) * 0.99) - 1]
         assert p99 < 0.010, f"healthz/stats p99 {p99 * 1000:.2f}ms"
+
+
+class TestUnchangedRepublishes:
+    def test_verified_noop_leaves_the_published_cell_alone(self):
+        """Verification runs on the updater's cell: the republished one
+        keeps its engines and still holds no R(D)."""
+        service = SelectionService(
+            _metasearcher(shrunk=False),
+            ServiceConfig(
+                scale="synthetic",
+                request_timeout_seconds=None,
+                default_k=5,
+                strategies=("plain",),
+            ),
+        )
+        service.warmup()
+        service.select(["gen000"], algorithm="cori", strategy="plain")
+        previous = service.snapshot
+        summary = previous.metasearcher.sampled_summaries["db05"]
+        result = service.apply_update(
+            [{"op": "replace", "name": "db05", "summary": summary_payload(summary)}],
+            verify=True,
+        )
+        assert result["unchanged"] is True
+        assert result["verification"]["verified"], result["verification"]
+        assert result["response_cache_retained"] == 1
+        published = service.snapshot
+        assert published.version == previous.version + 1
+        assert published.metasearcher is previous.metasearcher
+        assert published.cache is previous.cache
+        assert not published.metasearcher.has_shrunk_summaries()
+        assert set(published.metasearcher.engine_matrices()) == {"set:plain"}
+
+    def test_two_hundred_swaps_keep_no_history(self):
+        """Alternating real and no-op replaces, each followed by a select:
+        neither the updater nor the metrics registry grows with the
+        number of swaps."""
+        registry = get_instrumentation()
+        registry.reset()
+        service = _make_service()
+        payloads = [
+            summary_payload(_fresh_summary(seed=5)),
+            summary_payload(service.metasearcher.sampled_summaries["db03"]),
+        ]
+
+        def sizes(owner) -> dict:
+            return {
+                attr: len(value)
+                for attr, value in vars(owner).items()
+                if hasattr(value, "__len__") and not isinstance(value, str)
+            }
+
+        def footprint() -> tuple:
+            updater = service._updater
+            handler_series = sum(
+                1 for name in registry.histograms
+                if name.startswith("serve.handler_seconds")
+            )
+            return sizes(updater), sizes(updater._builder), handler_series
+
+        seen = {}
+        for swap in range(1, 201):
+            # Real swaps alternate between two summaries; each no-op
+            # replaces db03 with the summary it already holds.
+            payload = payloads[(swap - 1) // 2 % 2]
+            result = service.apply_update(
+                [{"op": "replace", "name": "db03", "summary": payload}]
+            )
+            assert result["unchanged"] is (swap % 2 == 0)
+            assert service.snapshot.version == swap + 1
+            service.select(["gen000", "gen001"], algorithm="cori", strategy="shrinkage")
+            seen[swap] = footprint()
+        # The EM digest cache fills over the first round trip (swaps 1-4).
+        assert seen[200] == seen[4]
+        assert seen[200][2] == seen[2][2] == 1
 
 
 class TestParseUpdateRequest:

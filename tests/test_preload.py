@@ -4,8 +4,8 @@ On a warm store ``harness.get_cell`` builds a cell from its ``summaries``
 and ``shrunk`` artifacts and the default hierarchy: the document testbed
 and the exact summaries load only when something reads them. A
 ``resample`` reads the testbed once, in the process that receives it, and
-is journaled as the ``replace`` it amounts to, so replaying the journal
-never needs documents.
+is resolved into the ``replace`` it amounts to; that batch is what a pool
+worker applies, so applying it never needs documents.
 """
 
 import json
@@ -20,6 +20,7 @@ from repro.selection.metasearcher import Metasearcher
 from repro.serving.lifecycle import (
     rehome_summary,
     resample_database,
+    resolve_ops,
     same_summary,
     summary_payload,
     verify_against_rebuild,
@@ -171,11 +172,10 @@ class TestResampleJournal:
     def test_resample_is_journaled_as_a_replace(self, warm):
         service = SelectionService.from_harness(_config())
         name = list(service.metasearcher.sampled_summaries)[2]
-        result = service.apply_update([{"op": "resample", "name": name, "seed": 3}])
-        assert result["touched_databases"] == [name]
-        (op,) = service.journal
+        resample = {"op": "resample", "name": name, "seed": 3}
+        (op,) = resolve_ops([resample], service.harness_context)
         assert op["op"] == "replace" and op["name"] == name
-        # The receiving process drew the sample, from the testbed.
+        # The resolving process drew the sample, from the testbed.
         assert harness._TESTBEDS
         fresh = resample_database(*CELL, name, 3)
         vocab = Vocabulary()
@@ -183,18 +183,29 @@ class TestResampleJournal:
             rehome_summary(summary_from_dict(op["summary"]), vocab),
             rehome_summary(fresh, vocab),
         )
+        # A resolved batch resolves to itself, with no harness behind it.
+        assert resolve_ops([op], None) == [op]
+        result = service.apply_update([resample])
+        assert result["touched_databases"] == [name]
+        assert same_summary(
+            rehome_summary(service.metasearcher.sampled_summaries[name], vocab),
+            rehome_summary(fresh, vocab),
+        )
 
     def test_journal_replays_without_harness_context(self, warm):
         service = SelectionService.from_harness(_config())
         name = list(service.metasearcher.sampled_summaries)[4]
-        service.apply_update([{"op": "resample", "name": name, "seed": 5}])
-        # As a pool worker or a restart gets it: JSON, no documents.
-        journal = json.loads(json.dumps(service.journal))
+        batch = resolve_ops(
+            [{"op": "resample", "name": name, "seed": 5}], service.harness_context
+        )
+        service.apply_update(batch)
+        # As a pool worker gets the batch: JSON, no documents.
+        shipped = json.loads(json.dumps(batch))
 
         harness.clear_caches()
         harness.configure(cache_dir=warm, jobs=1)
         replay = SelectionService(harness.get_cell(*CELL).metasearcher, _config())
-        replay.apply_update(journal)
+        replay.apply_update(shipped)
         assert harness._TESTBEDS == {}
         report = verify_against_rebuild(replay.metasearcher)
         assert report["verified"], report["mismatches"]

@@ -10,6 +10,8 @@ covered by the CLI smoke tests.
 """
 
 import json
+import subprocess
+import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -606,3 +608,21 @@ class TestLoadgenThroughputAccounting:
     def test_invalid_concurrency_rejected(self):
         with pytest.raises(ValueError):
             run_load(lambda *a: {}, [["a"]], concurrency=0)
+
+
+class TestServingImports:
+    def test_serving_stack_loads_no_scipy(self):
+        """scipy (~0.7 s to import) loads only inside the statistics
+        functions that call it, never on the serving path."""
+        code = (
+            "import sys\n"
+            "import repro.cli, repro.serving.workers, repro.evaluation.harness\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert output.strip() == "[]"

@@ -242,6 +242,22 @@ class TestArtifactStore:
         assert store.clear() == 3
         assert store.entries() == []
 
+    def test_entries_and_clear_cover_retired_kinds(self, tmp_path):
+        # A directory of a kind this version no longer writes (an earlier
+        # version's lifecycle artifacts) is listed and cleared as well.
+        store = ArtifactStore(tmp_path)
+        store.save("shrunk", "def", {"v": 1})
+        retired = tmp_path / "lifecycle"
+        retired.mkdir()
+        with gzip.open(retired / "abc.json.gz", "wt", encoding="utf-8") as handle:
+            json.dump({"v": 2}, handle)
+        assert [(e.kind, e.key) for e in store.entries()] == [
+            ("shrunk", "def"), ("lifecycle", "abc")
+        ]
+        assert store.clear() == 2
+        assert store.entries() == []
+        assert not (retired / "abc.json.gz").exists()
+
 
 class TestStoreTrafficStats:
     def test_stats_accumulate_per_kind(self, tmp_path):

@@ -55,10 +55,8 @@ class TestRecordRequest:
             len(inst.histograms["serve.phase_seconds{endpoint=select,phase=parse}"])
             == 1
         )
-        assert (
-            "serve.handler_seconds{endpoint=select,epoch=3,strategy=shrinkage}"
-            in inst.histograms
-        )
+        # The epoch is an outcome tag, not a label: no series per swap.
+        assert "serve.handler_seconds{endpoint=select,strategy=shrinkage}" in inst.histograms
 
     def test_failed_request_counts_error_class(self):
         inst = Instrumentation()

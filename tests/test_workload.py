@@ -523,24 +523,6 @@ class TestEpochKeyedRetention:
         sweep = _sweep(service, [["gen000"]], "bgloss", "plain")
         assert sweep["wrong"] == 0, sweep
 
-    def test_carry_cache_identical_cell_retains_everything(self):
-        # Drive _carry_cache directly: an unchanged cell keeps every
-        # entry, in recency order; any change keeps none.
-        from repro.core.lru import LruCache
-
-        service = _make_service(strategies=("plain", "shrinkage"))
-        service.select(["gen000"], algorithm="cori", strategy="shrinkage")
-        service.select(["gen000"], algorithm="cori", strategy="plain")
-        previous = service.snapshot
-        cache = LruCache(previous.cache.maxsize)
-        assert service._carry_cache(previous, {"unchanged": True}, cache) == 2
-        assert [key for key, _ in cache.items()] == [
-            key for key, _ in previous.cache.items()
-        ]
-        cache = LruCache(previous.cache.maxsize)
-        assert service._carry_cache(previous, {"unchanged": False}, cache) == 0
-        assert len(cache) == 0
-
     def test_pruned_service_never_uses_the_granular_proof(self):
         service = _make_service(strategies=("plain",), prune=True)
         service.select(["gen000"], algorithm="bgloss", strategy="plain")
